@@ -33,7 +33,6 @@ from .spectral import (
 from .stinespring import (
     CpMap,
     DilationData,
-    block_decompose,
     defect_identity_residuals,
     dilation_build,
     random_cp_contraction,

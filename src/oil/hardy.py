@@ -15,6 +15,15 @@ import numpy as np
 
 DEFAULT_TOL = 1e-12
 RANK_CUTOFF = 1e-10
+TOLERANCES = {  # pass tolerances of the CLI checks, by kind of residual
+    "identity": DEFAULT_TOL,  # entrywise algebraic identities on guard-valid entries
+    "numerical": 1e-10,  # residuals through random unitaries, dilations and SVDs
+    "lower_bound": 1e-9,  # slack below zero allowed in the lemma's lower bounds
+}
+
+
+def _opnorm(x: np.ndarray) -> float:
+    return float(np.linalg.norm(x, 2))
 
 
 class GuardBandError(ValueError):
@@ -41,9 +50,6 @@ class Symbol:
             if deg == degree:
                 return amp
         return 0j
-
-    def as_dict(self) -> dict[int, complex]:
-        return dict(self.coefficients)
 
 
 def make_symbol(pairs) -> Symbol:
@@ -119,7 +125,7 @@ class WindowedOperator:
         object.__setattr__(self, "entries", entries)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
+        return _opnorm(self.entries)
 
 
 def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
@@ -138,31 +144,45 @@ def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
     return slice(lo_idx, hi_idx)
 
 
-def guard_restrict(x: np.ndarray, sl: slice) -> np.ndarray:
-    return x[sl, sl]
-
-
 def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Truncation of multiplication by a: entry (j,k) is the coefficient at j-k."""
     d = w.dimension
     m = np.zeros((d, d), dtype=complex)
     for deg, amp in a.coefficients:
         if abs(deg) < d:
-            m += amp * np.eye(d, k=-deg)
+            k = np.arange(d - abs(deg))
+            m[k + max(deg, 0), k + max(-deg, 0)] += amp
     return WindowedOperator(w, m, label="mult")
+
+
+def _quadrants(x: np.ndarray, w: Window, *keep: str) -> np.ndarray:
+    """Copy of a window matrix, zero outside the kept quadrants of the split at mode 0.
+
+    A quadrant is named by its row side, then its column side: "+" for the
+    Hardy modes (the range of P), "-" for the negative modes.  P x P keeps
+    "++", (1-P) x P keeps "-+", and x P keeps "++" and "-+".
+    """
+    sides = {"-": slice(0, -w.lo), "+": slice(-w.lo, None)}
+    out = np.zeros_like(x)
+    for rows, cols in keep:
+        out[sides[rows], sides[cols]] = x[sides[rows], sides[cols]]
+    return out
+
+
+def _hardy_diagonal(w: Window) -> np.ndarray:
+    """Diagonal of P: one at the nonnegative Fourier modes of the window, else zero."""
+    return (w.modes >= 0).astype(complex)
 
 
 def hardy_projection(w: Window) -> WindowedOperator:
     """Diagonal projection onto the nonnegative Fourier modes of the window."""
-    p = np.diag((w.modes >= 0).astype(complex))
-    return WindowedOperator(w, p, label="hardy_projection")
+    return WindowedOperator(w, np.diag(_hardy_diagonal(w)), label="hardy_projection")
 
 
 def toeplitz_compress(a: Symbol, w: Window) -> WindowedOperator:
     """Toeplitz compression P M_a P on the window."""
-    p = hardy_projection(w).entries
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, p @ m @ p, label="toeplitz")
+    return WindowedOperator(w, _quadrants(m, w, "++"), label="toeplitz")
 
 
 def _require_two_sided(w: Window, what: str):
@@ -173,18 +193,16 @@ def _require_two_sided(w: Window, what: str):
 def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Hankel part (1-P) M_a P; the range lives on negative modes."""
     _require_two_sided(w, "hankel_operator")
-    p = hardy_projection(w).entries
     m = multiplication_operator(a, w).entries
-    one = np.eye(w.dimension)
-    return WindowedOperator(w, (one - p) @ m @ p, label="hankel")
+    return WindowedOperator(w, _quadrants(m, w, "-+"), label="hankel")
 
 
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     """Commutator [P, M_a] on the window."""
     _require_two_sided(w, "projection_commutator")
-    p = hardy_projection(w).entries
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, p @ m - m @ p, label="commutator")
+    comm = _quadrants(m, w, "+-") - _quadrants(m, w, "-+")  # P M_a (1-P) - (1-P) M_a P
+    return WindowedOperator(w, comm, label="commutator")
 
 
 def splitting_defect(a: Symbol, b: Symbol, w: Window):
@@ -208,10 +226,10 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
 def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:
     """Norm of tau(R_theta a) - U_theta tau(a) U_theta^*; zero up to rounding."""
     rotated = make_symbol((deg, amp * np.exp(1j * deg * theta)) for deg, amp in a.coefficients)
-    u = np.diag(np.exp(1j * theta * w.modes))
+    u = np.exp(1j * theta * w.modes)  # diagonal of U_theta
     ta = toeplitz_compress(a, w).entries
     tr = toeplitz_compress(rotated, w).entries
-    return float(np.linalg.norm(tr - u @ ta @ u.conj().T, 2))
+    return _opnorm(tr - u[:, None] * ta * u.conj())
 
 
 def numerical_rank(x: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:

@@ -6,10 +6,9 @@ import json
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .hardy import Symbol, make_symbol
 from .spectral import SingularSpectrum, SummabilityVerdict
-
-TOOL_VERSION = "0.1.0"
 
 
 class UsageError(ValueError):
@@ -36,8 +35,8 @@ def _plain(obj):
         }
     if isinstance(obj, SingularSpectrum):
         return {"source": obj.source_label, "values": _plain(obj.values)}
-    if isinstance(obj, float) and obj != obj:  # NaN is not valid JSON
-        return "nan"
+    if isinstance(obj, float) and not np.isfinite(obj):  # not valid JSON
+        return repr(obj)  # "nan", "inf" or "-inf"
     return obj
 
 
@@ -74,7 +73,14 @@ def load_symbol_file(path) -> Symbol:
         if not (isinstance(row, list) and len(row) == 3):
             raise UsageError(f"bad symbol row {row!r}: expected [degree, re, im]")
         deg, re, im = row
-        pairs.append((int(deg), complex(float(re), float(im))))
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in row):
+            raise UsageError(f"bad symbol row {row!r}: entries must be numbers")
+        if isinstance(deg, float) and not deg.is_integer():
+            raise UsageError(f"bad symbol row {row!r}: degree must be an integer")
+        try:
+            pairs.append((int(deg), complex(float(re), float(im))))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise UsageError(f"bad symbol row {row!r}: {exc}") from exc
     try:
         return make_symbol(pairs)
     except ValueError as exc:

@@ -114,12 +114,10 @@ def decay_exponent(s: SingularSpectrum, k_lo: int, k_hi: int) -> float:
     """Least-squares power-law exponent alpha with mu_k ~ k^(-alpha) over [k_lo, k_hi]."""
     if k_lo < 1 or k_hi >= len(s) or k_hi - k_lo + 1 < 8:
         raise ValueError(f"need 1 <= k_lo <= k_hi < len, >= 8 samples; got [{k_lo},{k_hi}]")
-    ks = np.arange(k_lo, k_hi + 1)
-    vals = s.values[ks]
-    if np.any(vals <= 0):
+    alpha = _fit_exponent(s.values, k_lo, k_hi)
+    if math.isnan(alpha):
         raise ValueError("zero singular values in fit range; log-log fit undefined")
-    slope = np.polyfit(np.log(ks), np.log(vals), 1)[0]
-    return float(-slope)
+    return alpha
 
 
 def tail_doubling_ratio(values, p: float, N: int) -> float:
@@ -141,6 +139,7 @@ def dixmier_estimate(s: SingularSpectrum, N: int) -> float:
 
 
 def _fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
+    """Power-law exponent of values over [k_lo, k_hi]; nan if under 8 samples or one <= 0."""
     ks = np.arange(k_lo, k_hi + 1)
     ks = ks[ks < len(values)]
     if len(ks) < 8:

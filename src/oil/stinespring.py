@@ -13,14 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hardy import _opnorm
 from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, summability_classify
 
 CONTRACTION_SLACK = 1e-12
 EIG_CLIP = -1e-12
-
-
-def _opnorm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, 2))
 
 
 @dataclass(frozen=True)
@@ -36,14 +33,9 @@ class CpMap:
         shape = ks[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ks):
             raise ValueError("all Kraus operators must share one m x n shape")
-        top = self.__class__._unit_image(ks)
-        if np.max(np.linalg.eigvalsh(top)) > 1.0 + CONTRACTION_SLACK:
-            raise ValueError("Kraus family is not a contraction")
         object.__setattr__(self, "kraus", ks)
-
-    @staticmethod
-    def _unit_image(ks) -> np.ndarray:
-        return sum(k @ k.conj().T for k in ks)
+        if np.max(np.linalg.eigvalsh(self.unit_image())) > 1.0 + CONTRACTION_SLACK:
+            raise ValueError("Kraus family is not a contraction")
 
     @property
     def n(self) -> int:
@@ -65,7 +57,7 @@ class CpMap:
 
     def unit_image(self) -> np.ndarray:
         """kappa(1) = sum K_i K_i^*."""
-        return self._unit_image(self.kraus)
+        return sum(k @ k.conj().T for k in self.kraus)
 
 
 def random_cp_contraction(n: int, m: int, r: int, seed: int) -> CpMap:
@@ -95,10 +87,6 @@ class DilationData:
     def ambient_dim(self) -> int:
         return self.cp.n * self.cp.r + self.cp.m
 
-    @property
-    def projection_dim(self) -> int:
-        return self.cp.m
-
     def projection(self) -> np.ndarray:
         p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
         p[: self.cp.m, : self.cp.m] = np.eye(self.cp.m)
@@ -111,7 +99,8 @@ class DilationData:
         if a.shape != (n, n):
             raise ValueError(f"expected {n}x{n} input, got {a.shape}")
         big = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        big[: n * r, : n * r] = np.kron(np.eye(r), a)
+        for i in range(0, n * r, n):
+            big[i : i + n, i : i + n] = a  # 1_r (x) a, block-diagonal
         return self.omega.conj().T @ big @ self.omega
 
     def blocks(self, a: np.ndarray):
@@ -136,7 +125,7 @@ def dilation_build(cp: CpMap, seed: int = 0) -> DilationData:
     # eigenvalues at rounding scale are treated as exact zeros so that a
     # unital map gets a genuinely zero defect block, not its sqrt(eps) shadow
     evals = np.where(evals < 1e-14, 0.0, evals)
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.conj().T
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
     w = np.vstack([k.conj().T for k in cp.kraus] + [root])  # (n*r + m) x m
 
     dim = n * r + m
@@ -157,11 +146,6 @@ def dilation_build(cp: CpMap, seed: int = 0) -> DilationData:
     return d
 
 
-def block_decompose(d: DilationData, a: np.ndarray):
-    """Four blocks of pi(a); the corner block is kappa(a)."""
-    return d.blocks(a)
-
-
 def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     """Residuals of the two block identities of the dilation.
 
@@ -177,10 +161,10 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     _, _, pi21b, _ = d.blocks(b)
     r1 = _opnorm(d.cp.apply(a @ b) - d.cp.apply(a) @ d.cp.apply(b) - pi12a @ pi21b)
 
-    p = d.projection()
-    pia = d.rep(a)
-    comm = p @ pia - pia @ p
     m = d.cp.m
+    comm = np.zeros((d.ambient_dim, d.ambient_dim), dtype=complex)
+    comm[:m, m:] = pi12a  # [P, pi(a)] = P pi(a) (1-P) - (1-P) pi(a) P
+    comm[m:, :m] -= pi21a
     blockdiag = np.zeros_like(comm)
     blockdiag[:m, :m] = pi12a @ pi21a
     blockdiag[m:, m:] = pi21a @ pi12a

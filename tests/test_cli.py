@@ -33,6 +33,30 @@ class TestSymbolFile:
         with pytest.raises(UsageError, match="duplicate"):
             load_symbol_file(path)
 
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            ("[[1.5, 1, 0]]", "degree must be an integer"),
+            ("[[true, 1, 0]]", "must be numbers"),
+            ("[[null, 1, 0]]", "must be numbers"),
+            ("[[1, [1], 0]]", "must be numbers"),
+            ("[[1, 1, \"0\"]]", "must be numbers"),
+            ("[[Infinity, 1, 0]]", "degree must be an integer"),
+            ("[[1, 1%s, 0]]" % ("0" * 400), "too large"),
+        ],
+    )
+    def test_bad_row(self, tmp_path, rows, match):
+        path = tmp_path / "bad_row.json"
+        path.write_text(rows)
+        with pytest.raises(UsageError, match=r"bad symbol row .*" + match):
+            load_symbol_file(path)
+        assert main(["defect", "--symbol-a", str(path)]) == 2
+
+    def test_integral_float_degree(self, tmp_path):
+        path = tmp_path / "z.json"
+        path.write_text("[[1.0, 1, 0]]")
+        assert load_symbol_file(path).coeff(1) == 1.0
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -129,6 +153,23 @@ class TestDispatch:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "k,sigma"
         assert lines[1].startswith("0,")
+
+    def test_csv_outside_spectrum_is_usage_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        argv = ["sum-demo", "--size", "4", "--trials", "2", "--format", "csv", "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_infinite_value_in_report(self, tmp_path):
+        sym = tmp_path / "huge.json"
+        sym.write_text("[[1, 1e200, 0], [-1, 1e200, 0]]")
+        out = tmp_path / "r.json"
+        code = main(["spectrum", "--symbol", str(sym), "--op", "mult", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["results"]["schatten_2"] == "inf"
+        assert report["results"]["spectrum_head"][0] == pytest.approx(2e200, rel=1e-2)
 
     def test_inverse_check_default_symbol(self):
         assert main(["inverse-check"]) == 0

@@ -7,7 +7,6 @@ from oil import (
     CpMap,
     IdealSpec,
     SingularSpectrum,
-    block_decompose,
     defect_identity_residuals,
     dilation_build,
     random_cp_contraction,
@@ -103,7 +102,7 @@ class TestDilation:
 class TestBlocks:
     def test_zero_input(self):
         d = dilation_build(random_cp_contraction(3, 3, 2, seed=40))
-        for blk in block_decompose(d, np.zeros((3, 3))):
+        for blk in d.blocks(np.zeros((3, 3))):
             assert np.all(blk == 0)
 
     def test_offdiagonal_adjoint_relation(self):
@@ -123,7 +122,7 @@ class TestBlocks:
     def test_dimension_mismatch(self):
         d = dilation_build(random_cp_contraction(3, 3, 2, seed=42))
         with pytest.raises(ValueError, match="3x3"):
-            block_decompose(d, np.eye(4))
+            d.blocks(np.eye(4))
 
 
 class TestDefectIdentities:
