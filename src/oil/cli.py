@@ -66,7 +66,7 @@ def _cmd_spectrum(args):
         spectral.export_spectrum_csv(s, args.out)
     results = {
         "operator": args.op,
-        "rank": hardy.numerical_rank(op.entries),
+        "rank": hardy._rank(s.values),
         "spectrum_head": s.values[:16],
         "schatten_2": spectral.schatten_norm(s, 2.0),
     }
@@ -338,6 +338,9 @@ def dispatch(args) -> int:
     except (UsageError, ValueError) as exc:
         print(f"oil: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # symbol files are read as UsageError, so this is the CSV export
+        print(f"oil: cannot write spectrum: {exc}", file=sys.stderr)
+        return 1
     params = {
         k: v
         for k, v in vars(args).items()

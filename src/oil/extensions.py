@@ -3,7 +3,10 @@ sum of extensions, and the inverse-extension identity.
 
 The even/odd interleaving realizes the pair of isometries exactly on a
 finite window (0/1 permutation columns), so the relations V_i^* V_i = 1
-and V_1 V_1^* + V_2 V_2^* = 1 hold with no rounding at all.
+and V_1 V_1^* + V_2 V_2^* = 1 hold with no rounding at all.  The
+doubled-window inverse identity is evaluated by index arithmetic: its
+permutation U is an involution of the doubled window's indices and its
+projections are 0/1 masks, so its U and P2 relations are exact as well.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .hardy import (
     _quadrants,
     _require_two_sided,
     guard_slice,
-    hardy_projection,
     multiplication_operator,
     projection_commutator,
 )
@@ -74,35 +76,38 @@ def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
     return WindowedOperator(w, _quadrants(m, w, "--"), label="complement_compression")
 
 
-def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, float]:
-    """Residuals of the doubled-window inverse identity.
+def _doubled_window(w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """U = [[P, 1-P], [1-P, P]] as an involution sigma of indices, and P2 = P + (1-P) as a mask."""
+    d = w.dimension
+    neg = w.modes < 0
+    i = np.arange(2 * d)
+    sigma = np.where(np.tile(neg, 2), (i + d) % (2 * d), i)  # swaps the copies' negative modes
+    return sigma, np.concatenate([~neg, neg])
 
-    Builds U = [[P, P'], [P', P]] and P2 = P + P' on the doubled window and
-    returns (||U^2 - 1||, ||U P2 U - (1 + 0)||, ||(M_a + 0) - U P2 U (M_a + M_a) U P2 U||),
-    the last restricted to guard-valid entries (depth 3).
+
+def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, float]:
+    """Residuals of the doubled-window inverse identity, by index arithmetic.
+
+    U P2 U is the mask p2[sigma].  Returns the numbers of indices at which
+    U^2 = 1 and U P2 U = 1 + 0 fail, and ||(M_a + 0) - U P2 U (M_a + M_a) U P2 U||
+    on the guard-valid entries (depth 3) of both copies.
     """
     sl = guard_slice(w, 3, a.bandwidth)
     d = w.dimension
-    p = hardy_projection(w).entries
-    q = np.eye(d) - p
-    u = np.block([[p, q], [q, p]])
-    p2 = np.block([[p, np.zeros((d, d))], [np.zeros((d, d)), q]])
-    one = np.eye(2 * d)
-    corner = np.zeros((2 * d, 2 * d), dtype=complex)
-    corner[:d, :d] = np.eye(d)
+    sigma, p2 = _doubled_window(w)
+    i = np.arange(2 * d)
+    upu = p2[sigma]
+    r_u = float(np.count_nonzero(sigma[sigma] != i))
+    r_p = float(np.count_nonzero(upu != (i < d)))
 
-    r_u = _opnorm(u @ u - one)
-    upu = u @ p2 @ u
-    r_p = _opnorm(upu - corner)
-
-    m = multiplication_operator(a, w).entries
-    m2 = np.block([[m, np.zeros((d, d))], [np.zeros((d, d)), m]])
-    m_corner = np.zeros((2 * d, 2 * d), dtype=complex)
-    m_corner[:d, :d] = m
-    resid = m_corner - upu @ m2 @ upu
-    idx = np.r_[np.arange(sl.start, sl.stop), d + np.arange(sl.start, sl.stop)]
-    r_id = _opnorm(resid[np.ix_(idx, idx)])
-    return r_u, r_p, r_id
+    block = multiplication_operator(a, w).entries[sl, sl]
+    g = len(block)
+    m2 = np.zeros((2 * g, 2 * g), dtype=complex)  # M_a + M_a on the guard rows
+    m2[:g, :g] = m2[g:, g:] = block
+    m_corner = np.zeros_like(m2)  # M_a + 0
+    m_corner[:g, :g] = block
+    c = upu[np.r_[i[sl], d + i[sl]]]
+    return r_u, r_p, _opnorm(m_corner - c[:, None] * m2 * c)
 
 
 def toeplitz_invertibility_report(

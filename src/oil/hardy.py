@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-12
 RANK_CUTOFF = 1e-10
 TOLERANCES = {  # pass tolerances of the CLI checks, by kind of residual
-    "identity": DEFAULT_TOL,  # entrywise algebraic identities on guard-valid entries
+    "identity": 1e-12,  # entrywise algebraic identities on guard-valid entries
     "numerical": 1e-10,  # residuals through random unitaries, dilations and SVDs
     "lower_bound": 1e-9,  # slack below zero allowed in the lemma's lower bounds
 }
@@ -232,9 +231,11 @@ def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:
     return _opnorm(tr - u[:, None] * ta * u.conj())
 
 
-def numerical_rank(x: np.ndarray, cutoff: float = RANK_CUTOFF) -> int:
-    """Count of singular values above cutoff times the largest one."""
-    s = np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > cutoff * s[0]))
+def _rank(s: np.ndarray) -> int:
+    """Count of descending singular values above RANK_CUTOFF times the largest one."""
+    return int(np.sum(s > RANK_CUTOFF * s[0])) if s.size else 0
+
+
+def numerical_rank(x: np.ndarray) -> int:
+    """Count of singular values of x above RANK_CUTOFF times the largest one."""
+    return _rank(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False))

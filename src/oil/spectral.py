@@ -102,12 +102,16 @@ def singular_values(A: WindowedOperator | np.ndarray, label: str = "") -> Singul
 
 
 def schatten_norm(s: SingularSpectrum, p: float) -> float:
-    """(sum mu_k^p)^(1/p)."""
+    """(sum mu_k^p)^(1/p), finite for every finite spectrum."""
     if p <= 0:
         raise ValueError(f"schatten exponent must be positive, got {p}")
-    if len(s) == 0:
-        return 0.0
-    return float(np.sum(s.values**p) ** (1.0 / p))
+    mu = s.values
+    with np.errstate(over="ignore"):
+        direct = float(np.sum(mu**p) ** (1.0 / p))
+    if math.isfinite(direct) and (direct > 0.0 or not mu.any()):
+        return direct
+    # mu^p overflowed or underflowed to zero: factor out the largest value
+    return float(mu[0] * np.sum((mu / mu[0]) ** p) ** (1.0 / p))
 
 
 def decay_exponent(s: SingularSpectrum, k_lo: int, k_hi: int) -> float:
@@ -150,17 +154,11 @@ def _fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
     return float(-np.polyfit(np.log(ks), np.log(vals), 1)[0])
 
 
-def summability_classify(
-    values,
-    spec: IdealSpec,
-    N_max: int,
-    delta_div: float = DELTA_DIVERGENT,
-    delta_sum: float = DELTA_SUMMABLE,
-) -> SummabilityVerdict:
+def summability_classify(values, spec: IdealSpec, N_max: int) -> SummabilityVerdict:
     """Classify a nonnegative sequence against an ideal spec by doubling sums.
 
-    Divergent when both doubling ratios exceed 1+delta_div; summable when
-    the last doubling increment is at most delta_sum relative; otherwise
+    Divergent when both doubling ratios exceed 1+DELTA_DIVERGENT; summable when
+    the last doubling increment is at most DELTA_SUMMABLE relative; otherwise
     inconclusive.  Dixmier specs track the logarithmic means instead of
     the powered partial sums.
     """
@@ -179,16 +177,16 @@ def summability_classify(
         "N": ns,
         "partial_sums": stats,
         "spec": spec.describe(),
-        "delta_div": delta_div,
-        "delta_sum": delta_sum,
+        "delta_div": DELTA_DIVERGENT,
+        "delta_sum": DELTA_SUMMABLE,
     }
     if stats[2] == 0.0:
         return SummabilityVerdict("summable", exponent, evidence)
     if stats[0] > 0.0:
         r1, r2 = stats[1] / stats[0], stats[2] / stats[1]
-        if r1 >= 1.0 + delta_div and r2 >= 1.0 + delta_div:
+        if r1 >= 1.0 + DELTA_DIVERGENT and r2 >= 1.0 + DELTA_DIVERGENT:
             return SummabilityVerdict("divergent", exponent, evidence)
-    if stats[1] > 0.0 and stats[2] - stats[1] <= delta_sum * stats[1]:
+    if stats[1] > 0.0 and stats[2] - stats[1] <= DELTA_SUMMABLE * stats[1]:
         return SummabilityVerdict("summable", exponent, evidence)
     return SummabilityVerdict("inconclusive", exponent, evidence)
 

@@ -110,11 +110,11 @@ class DilationData:
         return pi[:m, :m], pi[:m, m:], pi[m:, :m], pi[m:, m:]
 
 
-def dilation_build(cp: CpMap, seed: int = 0) -> DilationData:
+def dilation_build(cp: CpMap) -> DilationData:
     """Construct the Stinespring dilation of a cp contraction.
 
     The isometry W maps x to (K_i^* x)_i stacked over the Kraus index,
-    followed by (1 - kappa(1))^{1/2} x; a seeded random complement is
+    followed by (1 - kappa(1))^{1/2} x; a random complement (seed 0) is
     orthonormalized (twice, for stability) to complete W to a unitary.
     """
     n, m, r = cp.n, cp.m, cp.r
@@ -129,7 +129,7 @@ def dilation_build(cp: CpMap, seed: int = 0) -> DilationData:
     w = np.vstack([k.conj().T for k in cp.kraus] + [root])  # (n*r + m) x m
 
     dim = n * r + m
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     comp = rng.normal(size=(dim, dim - m)) + 1j * rng.normal(size=(dim, dim - m))
     for _ in range(2):
         comp -= w @ (w.conj().T @ comp)

@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from oil import Window, multiplication_operator, numerical_rank
 from oil.cli import main
-from oil.reporting import UsageError, load_symbol_file, write_report
+from oil.reporting import UsageError, build_report, load_symbol_file, write_report
 
 
 @pytest.fixture
@@ -160,16 +162,30 @@ class TestDispatch:
         assert main(argv) == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_infinite_value_in_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        write_report(build_report("x", {}, 1, {"big": np.inf}, {"low": -np.inf}, False), out)
+        report = json.loads(out.read_text())
+        assert report["results"]["big"] == "inf" and report["residuals"]["low"] == "-inf"
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_symbol_has_finite_schatten_norm(self, tmp_path):
         sym = tmp_path / "huge.json"
         sym.write_text("[[1, 1e200, 0], [-1, 1e200, 0]]")
         out = tmp_path / "r.json"
         code = main(["spectrum", "--symbol", str(sym), "--op", "mult", "--out", str(out)])
         assert code == 0
-        report = json.loads(out.read_text())
-        assert report["results"]["schatten_2"] == "inf"
-        assert report["results"]["spectrum_head"][0] == pytest.approx(2e200, rel=1e-2)
+        results = json.loads(out.read_text())["results"]
+        assert results["schatten_2"] == pytest.approx(1e200 * np.sqrt(160.0), rel=1e-15)
+        assert results["spectrum_head"][0] == pytest.approx(2e200, rel=1e-2)
+        op = multiplication_operator(load_symbol_file(sym), Window(-40, 40))
+        assert results["rank"] == numerical_rank(op.entries)
+
+    def test_csv_write_failure(self, symbol_file, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.csv"
+        argv = ["spectrum", "--symbol", symbol_file, "--format", "csv", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("oil: cannot write")
 
     def test_inverse_check_default_symbol(self):
         assert main(["inverse-check"]) == 0

@@ -226,6 +226,20 @@ class TestLemmaLowerBound:
         assert len(rep.min_gaps) == 32
         assert len(rep.seeds) == 20
 
+    @pytest.mark.parametrize("family", ["paper_formula", "pure_power"])
+    @pytest.mark.parametrize("eps, n", [(0.05, 8), (0.4, 32), (1.3, 129)])
+    def test_s2_matches_dense_gram_diagonal(self, family, eps, n):
+        # the dense reference: diag(deformed^* deformed) with deformed = (P+T) a (P+T), a(z) = z
+        lam = lambda_sequence(eps, family, n + 2)
+        q = np.diag(1.0 + lam).astype(complex)
+        deformed = q @ np.eye(n + 2, k=-1) @ q
+        s2 = np.real(np.diag(deformed.conj().T @ deformed)[:n])
+        assert np.array_equal(s2, np.real(np.diag(deformed, -1)[:n]) ** 2)
+        coeff = 1.0 + lam[1 : n + 1] + lam[:n] + lam[:n] * lam[1 : n + 1]
+        params = DeformationParams(eps=eps, p=2.0, family=family, N=n, M=n + 2)
+        rep = lemma_lower_bound_report(params, trials=1)
+        assert rep.s2_max_residual == float(np.max(np.abs(s2 - coeff**2)))
+
     def test_ambient_too_small(self):
         with pytest.raises(ValueError, match="N \\+ 2"):
             DeformationParams(eps=0.4, p=2.0, N=16, M=17)

@@ -1,10 +1,11 @@
 """The index-arithmetic builders against dense 0/1 and diagonal products.
 
 Each reference below is the defining product: it multiplies by the dense
-projection P = diag(modes >= 0), by 1 - P, by the interleaving isometries or
-by diag(P + T).  A product with a 0/1 or diagonal factor has one nonzero term
-per entry, so the slices, strided assignments and scalings must reproduce it
-exactly, not just within a tolerance.
+projection P = diag(modes >= 0), by 1 - P, by the interleaving isometries, by
+the doubled-window permutation U = [[P, 1-P], [1-P, P]] or by diag(P + T).  A
+product with a 0/1 or diagonal factor has one nonzero term per entry, so the
+slices, strided assignments, masks and scalings must reproduce it exactly, not
+just within a tolerance.
 """
 
 import numpy as np
@@ -17,14 +18,17 @@ from oil import (
     deformation_operator,
     deformed_compression,
     extension_sum,
+    guard_slice,
     hankel_operator,
     interleaving_isometries,
+    inverse_identity_residuals,
     lambda_sequence,
     make_symbol,
     multiplication_operator,
     projection_commutator,
     toeplitz_compress,
 )
+from oil import extensions
 from oil.extensions import interleaving_swap
 
 # (lo, hi): two-sided, the edge window lo = -1, and Hardy-only windows
@@ -102,3 +106,70 @@ def test_deformed_compression_matches_dense_products(lo, hi, bw, family):
     q = np.diag(qdiag.astype(complex))
     m = dense_multiplication(a, w)
     assert np.array_equal(deformed_compression(t, a, w).entries, q @ m @ q)
+
+
+def dense_inverse_identity(a, w: Window):
+    """The inverse identity's residuals by the dense products of the doubled window.
+
+    (||U^2 - 1||, ||U P2 U - (1 + 0)||, ||(M_a + 0) - U P2 U (M_a + M_a) U P2 U||),
+    the last on the guard-valid entries (depth 3) of both copies.
+    """
+    sl = guard_slice(w, 3, a.bandwidth)
+    d = w.dimension
+    p = dense_projection(w)
+    q = np.eye(d) - p
+    z = np.zeros((d, d))
+    u = np.block([[p, q], [q, p]])
+    p2 = np.block([[p, z], [z, q]])
+    corner = np.block([[np.eye(d), z], [z, z]])
+    r_u = np.linalg.norm(u @ u - np.eye(2 * d), 2)
+    upu = u @ p2 @ u
+    r_p = np.linalg.norm(upu - corner, 2)
+    m = dense_multiplication(a, w)
+    resid = np.block([[m, z], [z, z]]) - upu @ np.block([[m, z], [z, m]]) @ upu
+    idx = np.r_[np.arange(sl.start, sl.stop), d + np.arange(sl.start, sl.stop)]
+    return float(r_u), float(r_p), float(np.linalg.norm(resid[np.ix_(idx, idx)], 2))
+
+
+# two-sided, lo = -1, Hardy-only; dimension 6 * bandwidth + 1 is the edge of the depth-3 guard
+INVERSE_CASES = [(-12, 60, 1), (-20, 20, 2), (-9, 70, 5), (-1, 24, 1), (-1, 40, 3), (0, 30, 2),
+                 (-3, 3, 1), (-10, 20, 5), (-1, 17, 3), (0, 18, 3)]
+
+
+@pytest.mark.parametrize("lo, hi, bw", INVERSE_CASES)
+def test_inverse_identity_matches_dense_products(lo, hi, bw):
+    w = Window(lo, hi)
+    a = seeded_symbol(bw, seed=7 * bw + hi)
+    assert inverse_identity_residuals(a, w) == dense_inverse_identity(a, w)
+
+
+doubled_window = extensions._doubled_window
+
+
+def _unswap_first_mode(w):
+    sigma, p2 = doubled_window(w)
+    d = w.dimension
+    sigma[[0, d]] = [0, d]  # the first negative mode stays in its copy
+    return sigma, p2
+
+
+def _not_an_involution(w):
+    sigma, p2 = doubled_window(w)
+    return np.roll(sigma, 1), p2
+
+
+def _exchange_p(w):
+    sigma, p2 = doubled_window(w)
+    return sigma, ~p2  # P2 = (1-P) + P
+
+
+# each mutant with the residual it must make nonzero: 0 for U^2 = 1, 1 for U P2 U = 1 + 0
+@pytest.mark.parametrize(
+    "mutant, broken", [(_unswap_first_mode, 1), (_not_an_involution, 0), (_exchange_p, 1)]
+)
+@pytest.mark.parametrize("lo, hi, bw", [case for case in INVERSE_CASES if case[0] < 0])
+def test_inverse_identity_mutants_leave_a_residual(monkeypatch, mutant, broken, lo, hi, bw):
+    w = Window(lo, hi)
+    a = seeded_symbol(bw, seed=7 * bw + hi)
+    monkeypatch.setattr(extensions, "_doubled_window", mutant)
+    assert inverse_identity_residuals(a, w)[broken] > 0.0

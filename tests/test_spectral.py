@@ -12,6 +12,8 @@ from oil import (
     WindowedOperator,
     decay_exponent,
     dixmier_estimate,
+    make_symbol,
+    multiplication_operator,
     schatten_norm,
     singular_values,
     summability_classify,
@@ -78,6 +80,17 @@ class TestSchattenNorm:
     def test_bad_exponent(self):
         with pytest.raises(ValueError, match="positive"):
             schatten_norm(spectrum([1.0]), 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_finite_past_the_range_of_powers(self, scale):
+        # mu^2 overflows at 1e200 and underflows to zero at 1e-200; the norm does neither
+        w = Window(-40, 40)
+        base = multiplication_operator(make_symbol([(1, 1.0), (-1, 1.0)]), w)
+        scaled = multiplication_operator(make_symbol([(1, scale), (-1, scale)]), w)
+        expected = scale * schatten_norm(singular_values(base), 2.0)
+        got = schatten_norm(singular_values(scaled), 2.0)
+        assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_squared_frobenius_identity(self):
         rng = np.random.default_rng(5)
