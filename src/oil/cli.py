@@ -1,7 +1,8 @@
 """Command-line driver: one subcommand per experiment family.
 
 Exit status: 0 when every checked tolerance holds, 1 when an assertion
-fails (or a report cannot be written), 2 on usage errors.
+fails, an internal check of a construction fails or a report cannot be
+written, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def _cmd_inverse(args):
     w = hardy.Window(args.lo, args.hi)
     r_u, r_p, r_id = extensions.inverse_identity_residuals(a, w)
     residuals = {"unitary": r_u, "projection": r_p, "identity": r_id}
-    passed = r_u == 0.0 and r_p == 0.0 and r_id <= TOL["identity"]
+    passed = r_u == 0.0 and r_p == 0.0 and r_id == 0.0
     return passed, {"window": [args.lo, args.hi], "bandwidth": a.bandwidth}, residuals
 
 
@@ -335,6 +336,9 @@ def dispatch(args) -> int:
         if args.format == "csv" and args.command != "spectrum":
             raise UsageError("--format csv applies only to spectrum")
         passed, results, residuals = _HANDLERS[args.command](args)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+        print(f"oil: internal check failed: {exc}", file=sys.stderr)
+        return 1
     except (UsageError, ValueError) as exc:
         print(f"oil: {exc}", file=sys.stderr)
         return 2

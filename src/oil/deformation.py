@@ -227,12 +227,12 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
         u_star_shift[:, :-1] = u.conj().T[:, 1:]
         conj = u_star_shift @ u
         big_l = conj - deformed
-        gram = big_l.conj().T @ big_l
 
-        gaps = np.real(np.diag(gram)[:n]) - lam[:n] ** 2
+        # the first n diagonal entries of the Grams L^* L and conj^* conj are squared column norms
+        gaps = np.sum(np.abs(big_l[:, :n]) ** 2, axis=0) - lam[:n] ** 2
         min_gaps = np.minimum(min_gaps, gaps)
 
-        s1 = np.real(np.diag(conj.conj().T @ conj)[:n])
+        s1 = np.sum(np.abs(conj[:, :n]) ** 2, axis=0)
         s1_res = max(s1_res, float(np.max(np.abs(s1 - 1.0))))
 
         mu = np.linalg.svd(big_l, compute_uv=False)

@@ -4,7 +4,8 @@ contractions, with the block identities the dilation satisfies.
 A cp map kappa(a) = sum_i K_i a K_i^* with kappa(1) <= 1 dilates to a
 *-homomorphism pi on an ambient space of dimension n*r + m; compressing
 pi(a) to the first m coordinates recovers kappa(a) exactly (up to
-floating-point rounding).
+floating-point rounding).  The dilation is deterministic: its unitary
+Omega completes the isometry W by a complete QR factorization of W.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def random_cp_contraction(n: int, m: int, r: int, seed: int) -> CpMap:
         raise ValueError("n, m, r must all be >= 1")
     rng = np.random.default_rng(seed)
     ks = [rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)) for _ in range(r)]
-    top = sum(k @ k.conj().T for k in ks)
-    scale = (1.0 - 1e-6) / np.sqrt(_opnorm(top))
+    scale = (1.0 - 1e-6) / _opnorm(np.hstack(ks))  # ||sum K K^*|| = ||[K_1 ... K_r]||^2
     return CpMap(tuple(scale * k for k in ks))
 
 
@@ -95,13 +95,12 @@ class DilationData:
     def rep(self, a: np.ndarray) -> np.ndarray:
         """Dilation homomorphism pi(a)."""
         a = np.asarray(a, dtype=complex)
-        n, r, m = self.cp.n, self.cp.r, self.cp.m
+        n, r = self.cp.n, self.cp.r
         if a.shape != (n, n):
             raise ValueError(f"expected {n}x{n} input, got {a.shape}")
-        big = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        for i in range(0, n * r, n):
-            big[i : i + n, i : i + n] = a  # 1_r (x) a, block-diagonal
-        return self.omega.conj().T @ big @ self.omega
+        # sum_i Omega_i^* a Omega_i over the Kraus rows Omega_i; the 0_m block adds nothing
+        top = self.omega[: n * r]
+        return top.conj().T @ (a @ top.reshape(r, n, -1)).reshape(n * r, -1)
 
     def blocks(self, a: np.ndarray):
         """(pi11, pi12, pi21, pi22) relative to the corner projection."""
@@ -114,14 +113,15 @@ def dilation_build(cp: CpMap) -> DilationData:
     """Construct the Stinespring dilation of a cp contraction.
 
     The isometry W maps x to (K_i^* x)_i stacked over the Kraus index,
-    followed by (1 - kappa(1))^{1/2} x; a random complement (seed 0) is
-    orthonormalized (twice, for stability) to complete W to a unitary.
+    followed by (1 - kappa(1))^{1/2} x.  The last columns of a complete
+    QR factorization of W span range(W)^perp, so Omega = [W, those columns]
+    is unitary.  Raises RuntimeError when a check of the construction fails.
     """
     n, m, r = cp.n, cp.m, cp.r
     defect = np.eye(m) - cp.unit_image()
     evals, evecs = np.linalg.eigh(defect)
     if np.min(evals) < EIG_CLIP:
-        raise ValueError(f"contraction violated: defect eigenvalue {np.min(evals):.3e}")
+        raise RuntimeError(f"contraction violated: defect eigenvalue {np.min(evals):.3e}")
     # eigenvalues at rounding scale are treated as exact zeros so that a
     # unital map gets a genuinely zero defect block, not its sqrt(eps) shadow
     evals = np.where(evals < 1e-14, 0.0, evals)
@@ -129,20 +129,13 @@ def dilation_build(cp: CpMap) -> DilationData:
     w = np.vstack([k.conj().T for k in cp.kraus] + [root])  # (n*r + m) x m
 
     dim = n * r + m
-    rng = np.random.default_rng(0)
-    comp = rng.normal(size=(dim, dim - m)) + 1j * rng.normal(size=(dim, dim - m))
-    for _ in range(2):
-        comp -= w @ (w.conj().T @ comp)
-        comp, rr = np.linalg.qr(comp)
-        if np.min(np.abs(np.diag(rr))) < 1e-8:
-            raise ValueError("orthonormal completion failed: rank-defective complement")
-    omega = np.hstack([w, comp])
+    omega = np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, m:]])
     if _opnorm(omega.conj().T @ omega - np.eye(dim)) > 1e-10:
-        raise ValueError("orthonormal completion failed: Omega not unitary")
+        raise RuntimeError("orthonormal completion failed: Omega not unitary")
     d = DilationData(cp=cp, omega=omega)
     probe = np.eye(n)
     if _opnorm(d.blocks(probe)[0] - cp.apply(probe)) > 1e-10:
-        raise ValueError("dilation postcondition failed on the identity")
+        raise RuntimeError("dilation postcondition failed on the identity")
     return d
 
 

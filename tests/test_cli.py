@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oil import Window, multiplication_operator, numerical_rank
+from oil import Window, multiplication_operator, numerical_rank, stinespring
 from oil.cli import main
 from oil.reporting import UsageError, build_report, load_symbol_file, write_report
 
@@ -186,6 +186,26 @@ class TestDispatch:
         argv = ["spectrum", "--symbol", symbol_file, "--format", "csv", "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("oil: cannot write")
+
+    def test_broken_dilation_postcondition_is_internal_failure(self, tmp_path, monkeypatch, capsys):
+        apply = stinespring.CpMap.apply
+        monkeypatch.setattr(stinespring.CpMap, "apply", lambda cp, a: 2.0 * apply(cp, a))
+        out = tmp_path / "r.json"
+        assert main(["stinespring-check", "--maps", "1", "--pairs", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oil: internal check failed: dilation postcondition failed")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_svd_failure_is_internal_failure(self, symbol_file, tmp_path, monkeypatch, capsys):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        out = tmp_path / "r.json"
+        assert main(["spectrum", "--symbol", symbol_file, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("oil: internal check failed: SVD did not converge")
+        assert "Traceback" not in err and not out.exists()
 
     def test_inverse_check_default_symbol(self):
         assert main(["inverse-check"]) == 0

@@ -240,6 +240,29 @@ class TestLemmaLowerBound:
         rep = lemma_lower_bound_report(params, trials=1)
         assert rep.s2_max_residual == float(np.max(np.abs(s2 - coeff**2)))
 
+    @pytest.mark.parametrize("family", ["paper_formula", "pure_power"])
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_column_norms_match_dense_gram_diagonals(self, family, n):
+        # the dense reference: diag(L^* L) and diag(conj^* conj) with conj = U^* a U, a(z) = z
+        params = DeformationParams(eps=0.4, p=2.0, family=family, N=n, M=n + 2, seed=5)
+        m, trials = n + 2, 3
+        lam = lambda_sequence(0.4, family, m)
+        q = np.diag(1.0 + lam).astype(complex)
+        shift = np.eye(m, k=-1).astype(complex)
+        min_gaps, s1_res = np.full(n, np.inf), 0.0
+        for t in range(trials):
+            u = np.eye(m, dtype=complex)
+            u[:n, :n] = haar_unitary(n, params.seed ^ t)
+            conj = u.conj().T @ shift @ u
+            big_l = conj - q @ shift @ q
+            gaps = np.real(np.diag(big_l.conj().T @ big_l))[:n] - lam[:n] ** 2
+            min_gaps = np.minimum(min_gaps, gaps)
+            s1 = np.real(np.diag(conj.conj().T @ conj))[:n]
+            s1_res = max(s1_res, float(np.max(np.abs(s1 - 1.0))))
+        rep = lemma_lower_bound_report(params, trials)
+        np.testing.assert_allclose(rep.min_gaps, min_gaps, rtol=1e-13, atol=1e-13)
+        assert abs(rep.s1_max_residual - s1_res) <= 1e-13
+
     def test_ambient_too_small(self):
         with pytest.raises(ValueError, match="N \\+ 2"):
             DeformationParams(eps=0.4, p=2.0, N=16, M=17)

@@ -5,6 +5,7 @@ import pytest
 
 from oil import (
     CpMap,
+    DilationData,
     IdealSpec,
     SingularSpectrum,
     defect_identity_residuals,
@@ -20,6 +21,40 @@ def opnorm(x):
 
 def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def dense_rep(d, a):
+    """The reference pi(a) = Omega^* ((1_r (x) a) + 0_m) Omega with the dense middle factor."""
+    n, r = d.cp.n, d.cp.r
+    big = np.zeros((d.ambient_dim, d.ambient_dim), dtype=complex)
+    big[: n * r, : n * r] = np.kron(np.eye(r), a)
+    return d.omega.conj().T @ big @ d.omega
+
+
+def rep_relative_error(d, a):
+    ref = dense_rep(d, a)
+    return opnorm(d.rep(a) - ref) / opnorm(ref)
+
+
+def stacked_isometry(cp):
+    """W: the adjoint Kraus operators stacked over the Kraus index, then (1 - kappa(1))^(1/2)."""
+    evals, evecs = np.linalg.eigh(np.eye(cp.m) - cp.unit_image())
+    evals = np.where(evals < 1e-14, 0.0, evals)
+    root = (evecs * np.sqrt(evals)) @ evecs.conj().T
+    return np.vstack([k.conj().T for k in cp.kraus] + [root])
+
+
+DIMS = [(1, 1, 1), (4, 4, 3), (3, 5, 2), (5, 3, 2), (32, 32, 8), (32, 32, 2)]
+
+
+def dilation_cases():
+    for n, m, r in DIMS:
+        yield f"{n}-{m}-{r}", random_cp_contraction(n, m, r, seed=n + m + r)
+    u = np.linalg.qr(np.random.default_rng(12).normal(size=(4, 4)))[0]
+    yield "unital", CpMap((u.astype(complex) / np.sqrt(2), u.T.astype(complex) / np.sqrt(2)))
+
+
+CASES = dict(dilation_cases())
 
 
 class TestCpMap:
@@ -97,6 +132,55 @@ class TestDilation:
         d1 = dilation_build(cp)
         d2 = dilation_build(cp)
         np.testing.assert_array_equal(d1.omega, d2.omega)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+class TestDilationFromIsometry:
+    def test_rep_matches_dense_formula(self, name):
+        d = dilation_build(CASES[name])
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            assert rep_relative_error(d, random_matrix(rng, d.cp.n)) <= 1e-13
+
+    def test_omega_unitary(self, name):
+        omega = dilation_build(CASES[name]).omega
+        assert opnorm(omega.conj().T @ omega - np.eye(len(omega))) <= 1e-13
+
+    def test_first_columns_are_the_isometry_and_builds_agree(self, name):
+        cp = CASES[name]
+        omega = dilation_build(cp).omega
+        assert np.array_equal(omega[:, : cp.m], stacked_isometry(cp))
+        assert np.array_equal(omega, dilation_build(cp).omega)
+
+
+QR = np.linalg.qr
+
+
+def _completion_from_leading_columns(w, mode):
+    # Q rolled so that the caller's Q[:, m:] is the original Q[:, :dim-m], which meets range(W)
+    q, r = QR(w, mode=mode)
+    return np.roll(q, w.shape[1], axis=1), r
+
+
+def _rep_dropping_last_kraus_block(self, a):
+    n, r = self.cp.n, self.cp.r - 1
+    top = self.omega[: n * r]
+    return top.conj().T @ (a @ top.reshape(r, n, -1)).reshape(n * r, -1)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_completion_mutant_is_caught(monkeypatch, name):
+    monkeypatch.setattr(np.linalg, "qr", _completion_from_leading_columns)
+    with pytest.raises(RuntimeError, match="not unitary"):
+        dilation_build(CASES[name])
+
+
+@pytest.mark.parametrize("name", [name for name, cp in CASES.items() if cp.r > 1])
+def test_rep_mutant_is_caught(monkeypatch, name):
+    d = dilation_build(CASES[name])
+    monkeypatch.setattr(DilationData, "rep", _rep_dropping_last_kraus_block)
+    a = random_matrix(np.random.default_rng(14), d.cp.n)
+    assert rep_relative_error(d, a) > 1e-2
 
 
 class TestBlocks:
