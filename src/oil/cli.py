@@ -235,6 +235,17 @@ def _cmd_sweep(args):
     return True, results, {}
 
 
+def _count(text: str) -> int:
+    """argparse type of the counts and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 _FAMILY_ALIASES = {
     "power": "pure_power",
     "pure_power": "pure_power",
@@ -267,16 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("stinespring-check", help="dilation block identities on random cp maps")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--r", type=int, default=3)
-    p.add_argument("--maps", type=int, default=20)
-    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--n", type=_count, default=4)
+    p.add_argument("--m", type=_count, default=4)
+    p.add_argument("--r", type=_count, default=3)
+    p.add_argument("--maps", type=_count, default=20)
+    p.add_argument("--pairs", type=_count, default=20)
     common(p)
 
     p = sub.add_parser("sum-demo", help="interleaved extension sum on random pairs")
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--trials", type=int, default=50)
+    p.add_argument("--size", type=_count, default=32)
+    p.add_argument("--trials", type=_count, default=50)
     common(p)
 
     p = sub.add_parser("inverse-check", help="doubled-window inverse identity")
@@ -287,16 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deformation-check", help="quadratic identity and defect expansion")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--modes", type=int, default=256)
+    p.add_argument("--modes", type=_count, default=256)
     p.add_argument("--family", default="paper")
     common(p)
 
     p = sub.add_parser("lemma-check", help="unitary-quantified lower bound for a(z)=z")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--modes", type=int, default=128)
+    p.add_argument("--modes", type=_count, default=128)
     p.add_argument("--ambient", type=int, default=None)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--family", default="paper")
     common(p)
 

@@ -28,7 +28,8 @@ from .hardy import (
     multiplication_operator,
     symbol_product,
 )
-from .spectral import IdealSpec, SummabilityVerdict, summability_classify
+from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, _fit_exponent
+from .spectral import schatten_norm, summability_classify
 
 FAMILIES = ("paper_formula", "pure_power")
 
@@ -45,10 +46,10 @@ class DeformationParams:
     seed: int = 42
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.M < self.N + 2:
@@ -67,8 +68,8 @@ def lambda_sequence(eps: float, family: str, count: int) -> np.ndarray:
     The paper_formula branch is 1 - (1+u)^{-1/2} with u = k^{-2 eps},
     evaluated in a form that avoids its cancellation for large k.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     k = np.arange(count, dtype=float)
     if family == "pure_power":
         return (1.0 + k) ** (-eps)
@@ -159,8 +160,7 @@ def deformation_defect_residuals(
     term3 = ((rows * ma) @ (mb * q2 - q2[:, None] * mb)) * q
     term4 = (mab * q - rows * mab) * q2 * q
     resid = lhs - (term1 + term2 + term3 + term4)
-    # + 0.0 turns the -0.0 left by scaling with zeros of Q into +0.0: the SVD reads zero signs
-    return _opnorm(resid[sl, sl] + 0.0)
+    return _opnorm(resid[sl, sl])
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -212,7 +212,7 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     np.fill_diagonal(deformed[1:], shift)
 
     coeff = 1.0 + lam[1 : n + 1] + lam[:n] + lam[:n] * lam[1 : n + 1]
-    rhs = float(np.sum(lam[:n] ** params.p) ** (1.0 / params.p))
+    rhs = schatten_norm(SingularSpectrum(lam[:n]), params.p)
     s2 = shift[:n] ** 2  # diag of deformed^* deformed: each column holds one entry
     s2_res = float(np.max(np.abs(s2 - coeff**2)))
 
@@ -236,7 +236,7 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
         s1_res = max(s1_res, float(np.max(np.abs(s1 - 1.0))))
 
         mu = np.linalg.svd(big_l, compute_uv=False)
-        lhs_norms.append(float(np.sum(mu**params.p) ** (1.0 / params.p)))
+        lhs_norms.append(schatten_norm(SingularSpectrum(mu), params.p))
 
     return LemmaReport(
         params=params,
@@ -284,10 +284,14 @@ def epsilon_sweep(
 ) -> SweepReport:
     """Sweep the deformation order and classify each point at p and 2p.
 
+    Each point's measured_exponent is one least-squares power-law fit of
+    its lambda sequence over [N_max/4, N_max/2]; the verdicts do not read it.
     For each pair (eps, eps + 1/p) present in the grid, the report marks
     whether the evidence separates the two deformation classes: divergent
     at p for the lower order, summable at p for the higher one.
     """
+    if not 0.0 < p < np.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     grid = [float(e) for e in grid]
     if any(e2 <= e1 for e1, e2 in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
@@ -311,7 +315,7 @@ def epsilon_sweep(
         points.append(
             SweepPoint(
                 eps=eps,
-                measured_exponent=verdict_p.measured_exponent,  # the fit over [N/4, N/2]
+                measured_exponent=_fit_exponent(lam, N_max // 4, N_max // 2),
                 verdict_p=verdict_p,
                 verdict_2p=verdict_2p,
                 doubling_ratio_p=sums[2] / sums[1],

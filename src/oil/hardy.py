@@ -14,15 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 RANK_CUTOFF = 1e-10
-TOLERANCES = {  # pass tolerances of the CLI checks, by kind of residual
+TOLERANCES = {  # tolerances of the checks and constructions, by kind of residual
     "identity": 1e-12,  # entrywise algebraic identities on guard-valid entries
     "numerical": 1e-10,  # residuals through random unitaries, dilations and SVDs
     "lower_bound": 1e-9,  # slack below zero allowed in the lemma's lower bounds
+    "contraction": 1e-12,  # slack above 1 allowed in the spectrum of kappa(1) = sum K K^*
 }
 
 
 def _opnorm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, 2))
+    """Largest singular value; + 0.0 turns -0.0 into +0.0, since the SVD reads zero signs."""
+    return float(np.linalg.svd(np.asarray(x) + 0.0, compute_uv=False)[0])
 
 
 class GuardBandError(ValueError):

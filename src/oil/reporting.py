@@ -28,11 +28,7 @@ def _plain(obj):
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, SummabilityVerdict):
-        return {
-            "verdict": obj.verdict,
-            "measured_exponent": _plain(obj.measured_exponent),
-            "evidence": _plain(obj.evidence),
-        }
+        return {"verdict": obj.verdict, "evidence": _plain(obj.evidence)}
     if isinstance(obj, SingularSpectrum):
         return {"source": obj.source_label, "values": _plain(obj.values)}
     if isinstance(obj, float) and not np.isfinite(obj):  # not valid JSON

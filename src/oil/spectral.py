@@ -2,9 +2,9 @@
 summability verdicts standing in for operator-ideal membership.
 
 Membership of an operator in an ideal is never decided symbolically.
-Each classification returns a SummabilityVerdict carrying the partial
-sums it was derived from, so any verdict can be re-checked from its own
-evidence.
+Each classification returns a SummabilityVerdict holding its decision and
+the partial sums it was derived from, nothing else, so any verdict can be
+re-checked from its own evidence; decay fits are measured separately.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ class IdealSpec:
 
 @dataclass(frozen=True)
 class SummabilityVerdict:
-    """Outcome of a finite summability test, with its evidence attached."""
+    """Decision of a finite summability test and the evidence it read; no decay fit."""
 
     verdict: str  # summable | divergent | inconclusive
-    measured_exponent: float
     evidence: dict = field(default_factory=dict)
 
 
@@ -102,15 +101,16 @@ def singular_values(A: WindowedOperator | np.ndarray, label: str = "") -> Singul
 
 
 def schatten_norm(s: SingularSpectrum, p: float) -> float:
-    """(sum mu_k^p)^(1/p), finite for every finite spectrum."""
+    """(sum mu_k^p)^(1/p) as mu_0 (sum (mu_k/mu_0)^p)^(1/p); 0.0 for an all-zero spectrum.
+
+    The ratios lie in [0, 1] and the first is 1, so no power overflows and
+    no power that falls into subnormals moves the sum.
+    """
     if p <= 0:
         raise ValueError(f"schatten exponent must be positive, got {p}")
     mu = s.values
-    with np.errstate(over="ignore"):
-        direct = float(np.sum(mu**p) ** (1.0 / p))
-    if math.isfinite(direct) and (direct > 0.0 or not mu.any()):
-        return direct
-    # mu^p overflowed or underflowed to zero: factor out the largest value
+    if not mu.any():
+        return 0.0
     return float(mu[0] * np.sum((mu / mu[0]) ** p) ** (1.0 / p))
 
 
@@ -170,9 +170,8 @@ def summability_classify(values, spec: IdealSpec, N_max: int) -> SummabilityVerd
         spectrum = SingularSpectrum(np.sort(v)[::-1], source_label="dixmier_input")
         stats = [dixmier_estimate(spectrum, n) for n in ns]
     else:
-        p = spec.effective_exponent
-        stats = [float(np.sum(v[:n] ** p)) for n in ns]
-    exponent = _fit_exponent(v, N_max // 4, N_max // 2)
+        powers = v[:N_max] ** spec.effective_exponent
+        stats = [float(np.sum(powers[:n])) for n in ns]
     evidence = {
         "N": ns,
         "partial_sums": stats,
@@ -181,14 +180,14 @@ def summability_classify(values, spec: IdealSpec, N_max: int) -> SummabilityVerd
         "delta_sum": DELTA_SUMMABLE,
     }
     if stats[2] == 0.0:
-        return SummabilityVerdict("summable", exponent, evidence)
+        return SummabilityVerdict("summable", evidence)
     if stats[0] > 0.0:
         r1, r2 = stats[1] / stats[0], stats[2] / stats[1]
         if r1 >= 1.0 + DELTA_DIVERGENT and r2 >= 1.0 + DELTA_DIVERGENT:
-            return SummabilityVerdict("divergent", exponent, evidence)
+            return SummabilityVerdict("divergent", evidence)
     if stats[1] > 0.0 and stats[2] - stats[1] <= DELTA_SUMMABLE * stats[1]:
-        return SummabilityVerdict("summable", exponent, evidence)
-    return SummabilityVerdict("inconclusive", exponent, evidence)
+        return SummabilityVerdict("summable", evidence)
+    return SummabilityVerdict("inconclusive", evidence)
 
 
 def export_spectrum_csv(s: SingularSpectrum, path) -> None:

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import _opnorm
+from .hardy import TOLERANCES, _opnorm
 from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, summability_classify
-
-CONTRACTION_SLACK = 1e-12
-EIG_CLIP = -1e-12
 
 
 @dataclass(frozen=True)
@@ -35,7 +32,7 @@ class CpMap:
         if len(shape) != 2 or any(k.shape != shape for k in ks):
             raise ValueError("all Kraus operators must share one m x n shape")
         object.__setattr__(self, "kraus", ks)
-        if np.max(np.linalg.eigvalsh(self.unit_image())) > 1.0 + CONTRACTION_SLACK:
+        if np.max(np.linalg.eigvalsh(self.unit_image())) > 1.0 + TOLERANCES["contraction"]:
             raise ValueError("Kraus family is not a contraction")
 
     @property
@@ -120,7 +117,7 @@ def dilation_build(cp: CpMap) -> DilationData:
     n, m, r = cp.n, cp.m, cp.r
     defect = np.eye(m) - cp.unit_image()
     evals, evecs = np.linalg.eigh(defect)
-    if np.min(evals) < EIG_CLIP:
+    if np.min(evals) < -TOLERANCES["contraction"]:
         raise RuntimeError(f"contraction violated: defect eigenvalue {np.min(evals):.3e}")
     # eigenvalues at rounding scale are treated as exact zeros so that a
     # unital map gets a genuinely zero defect block, not its sqrt(eps) shadow
@@ -130,11 +127,11 @@ def dilation_build(cp: CpMap) -> DilationData:
 
     dim = n * r + m
     omega = np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, m:]])
-    if _opnorm(omega.conj().T @ omega - np.eye(dim)) > 1e-10:
+    if _opnorm(omega.conj().T @ omega - np.eye(dim)) > TOLERANCES["numerical"]:
         raise RuntimeError("orthonormal completion failed: Omega not unitary")
     d = DilationData(cp=cp, omega=omega)
     probe = np.eye(n)
-    if _opnorm(d.blocks(probe)[0] - cp.apply(probe)) > 1e-10:
+    if _opnorm(d.blocks(probe)[0] - cp.apply(probe)) > TOLERANCES["numerical"]:
         raise RuntimeError("dilation postcondition failed on the identity")
     return d
 

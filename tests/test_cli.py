@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,6 +126,47 @@ class TestDispatch:
         report = json.loads(out.read_text())
         assert len(report["results"]["points"]) == 2
 
+    def test_sweep_verdicts_hold_decision_and_evidence(self, tmp_path):
+        out = tmp_path / "s.json"
+        code = main([
+            "sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8",
+            "--steps", "3", "--family", "paper", "--max-index", "1024",
+            "--out", str(out),
+        ])
+        assert code == 0
+        for pt in json.loads(out.read_text())["results"]["points"]:
+            assert isinstance(pt["measured_exponent"], float)
+            for key in ("verdict_p", "verdict_2p"):
+                assert set(pt[key]) == {"verdict", "evidence"}
+                assert set(pt[key]["evidence"]) == {"N", "partial_sums", "spec", "delta_div", "delta_sum"}
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p", "0", "--eps-min", "0.3", "--eps-max", "0.8"],
+        ["sweep", "--p", "inf", "--eps-min", "0.3", "--eps-max", "0.8"],
+        ["lemma-check", "--p", "2", "--eps", "nan"],
+        ["lemma-check", "--p", "2", "--eps", "inf"],
+        ["lemma-check", "--p", "nan", "--eps", "0.4"],
+        ["lemma-check", "--p", "inf", "--eps", "0.4"],
+        ["lemma-check", "--p", "2", "--eps", "0.4", "--trials", "0"],
+        ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "0"],
+        ["deformation-check", "--eps", "nan"],
+        ["deformation-check", "--eps", "0.4", "--modes", "-1"],
+        ["sum-demo", "--trials", "0"],
+        ["sum-demo", "--size", "0"],
+        ["stinespring-check", "--maps", "0"],
+        ["stinespring-check", "--pairs", "0"],
+        ["stinespring-check", "--n", "0"],
+        ["stinespring-check", "--m", "0"],
+        ["stinespring-check", "--r", "x"],
+    ])
+    def test_bad_numbers_and_zero_counts_are_usage_errors(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+        assert "oil" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_determinism(self, tmp_path):
         args = [
             "sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8",
@@ -180,6 +222,19 @@ class TestDispatch:
         assert results["spectrum_head"][0] == pytest.approx(2e200, rel=1e-2)
         op = multiplication_operator(load_symbol_file(sym), Window(-40, 40))
         assert results["rank"] == numerical_rank(op.entries)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_powers_keep_schatten_norm_exact(self, tmp_path):
+        # the commutator's spectrum is (3e-160, 1e-160), whose squares lie in the subnormals
+        sym = tmp_path / "tiny.json"
+        sym.write_text("[[1, 3e-160, 0], [-1, 1e-160, 0]]")
+        out = tmp_path / "r.json"
+        assert main(["spectrum", "--symbol", str(sym), "--op", "commutator", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["spectrum_head"][:3] == [3e-160, 1e-160, 0.0]
+        with mpmath.workdps(50):
+            exact = mpmath.sqrt(mpmath.mpf(3e-160) ** 2 + mpmath.mpf(1e-160) ** 2)
+            assert abs(mpmath.mpf(results["schatten_2"]) - exact) <= 2e-15 * exact
 
     def test_csv_write_failure(self, symbol_file, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.csv"

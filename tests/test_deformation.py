@@ -20,11 +20,18 @@ from oil import (
     signed_deformation_from_order,
     toeplitz_compress,
 )
+from oil import deformation, spectral
+from oil.spectral import _fit_exponent
 
 Z = make_symbol([(1, 1.0)])
 
 
 class TestLambdaSequence:
+    @pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_order(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            lambda_sequence(eps, "pure_power", 4)
+
     def test_lambda_zero_is_one(self):
         for eps in (0.3, 0.7, 1.5):
             assert lambda_sequence(eps, "paper_formula", 4)[0] == 1.0
@@ -263,6 +270,13 @@ class TestLemmaLowerBound:
         np.testing.assert_allclose(rep.min_gaps, min_gaps, rtol=1e-13, atol=1e-13)
         assert abs(rep.s1_max_residual - s1_res) <= 1e-13
 
+    @pytest.mark.parametrize("eps, p", [
+        (np.nan, 2.0), (np.inf, 2.0), (0.0, 2.0), (0.4, np.nan), (0.4, np.inf), (0.4, 0.5),
+    ])
+    def test_params_reject_bad_numbers(self, eps, p):
+        with pytest.raises(ValueError):
+            DeformationParams(eps=eps, p=p)
+
     def test_ambient_too_small(self):
         with pytest.raises(ValueError, match="N \\+ 2"):
             DeformationParams(eps=0.4, p=2.0, N=16, M=17)
@@ -293,6 +307,33 @@ class TestEpsilonSweep:
     def test_with_lemma_gap(self):
         rep = epsilon_sweep(2.0, [0.4, 0.9], "pure_power", 2**10, with_lemma=True)
         assert all(pt.lemma_min_gap is not None and pt.lemma_min_gap >= -1e-9 for pt in rep.points)
+
+    @pytest.mark.parametrize("family", ["pure_power", "paper_formula"])
+    @pytest.mark.parametrize("n_max", [32, 2**12])
+    def test_one_fit_per_point(self, family, n_max, monkeypatch):
+        fits = []
+
+        def counted_fit(values, k_lo, k_hi):
+            fits.append((values, k_lo, k_hi))
+            return _fit_exponent(values, k_lo, k_hi)
+
+        def no_fit(*args):
+            raise AssertionError("a summability verdict reads no decay fit")
+
+        monkeypatch.setattr(deformation, "_fit_exponent", counted_fit)
+        monkeypatch.setattr(spectral, "_fit_exponent", no_fit)
+        rep = epsilon_sweep(2.0, [0.3, 0.5, 0.8], family, n_max)
+        assert len(fits) == len(rep.points)
+        for pt, (values, k_lo, k_hi) in zip(rep.points, fits):
+            lam = lambda_sequence(pt.eps, family, n_max)
+            np.testing.assert_array_equal(values, lam)
+            assert (k_lo, k_hi) == (n_max // 4, n_max // 2)
+            assert pt.measured_exponent == _fit_exponent(lam, n_max // 4, n_max // 2)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_exponent(self, p):
+        with pytest.raises(ValueError, match="positive and finite"):
+            epsilon_sweep(p, [0.3, 0.5], "pure_power", 2**10)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="increasing"):

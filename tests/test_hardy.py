@@ -21,6 +21,7 @@ from oil import (
     symbol_product,
     toeplitz_compress,
 )
+from oil.hardy import _opnorm
 
 Z = make_symbol([(1, 1.0)])
 ZBAR = make_symbol([(-1, 1.0)])
@@ -248,3 +249,23 @@ class TestWindow:
     def test_guard_slice_empty(self):
         with pytest.raises(GuardBandError):
             guard_slice(Window(-2, 2), 2, 2)
+
+
+class TestOpnorm:
+    def test_blind_to_zero_signs(self):
+        # LAPACK's SVD reads the sign of an exact zero; the operator norm must not
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            d = int(rng.integers(3, 12))
+            x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            x.real[rng.random((d, d)) < 0.6] = 0.0
+            x.imag[rng.random((d, d)) < 0.6] = 0.0
+            flipped = x.copy()
+            flipped.real[x.real == 0] = -0.0
+            flipped.imag[x.imag == 0] = -0.0
+            assert _opnorm(flipped) == _opnorm(x)
+
+    def test_largest_singular_value(self):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        assert _opnorm(x) == np.linalg.norm(x, 2)

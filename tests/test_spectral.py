@@ -1,5 +1,8 @@
 """Tests for singular-value analytics and summability classification."""
 
+import dataclasses
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +23,8 @@ from oil import (
     tail_doubling_ratio,
 )
 from oil.deformation import haar_unitary, lambda_sequence
-from oil.spectral import export_spectrum_csv
+from oil import spectral
+from oil.spectral import SummabilityVerdict, export_spectrum_csv
 
 
 def spectrum(values):
@@ -91,6 +95,34 @@ class TestSchattenNorm:
         expected = scale * schatten_norm(singular_values(base), 2.0)
         got = schatten_norm(singular_values(scaled), 2.0)
         assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @staticmethod
+    def mp_norm(mu, p):
+        with mpmath.workdps(50):
+            total = mpmath.fsum(mpmath.mpf(float(x)) ** p for x in mu)
+            return total ** (mpmath.mpf(1) / p) if total else mpmath.mpf(0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7, 8.0])
+    @pytest.mark.parametrize("scale", [1e-200, 1e-20, 1e20, 1e200])
+    def test_matches_high_precision_sum(self, scale, p):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            mu = np.sort(scale * rng.exponential(size=rng.integers(1, 40)))[::-1]
+            exact = self.mp_norm(mu, p)
+            got = schatten_norm(spectrum(mu), p)
+            assert abs(mpmath.mpf(got) - exact) <= 2e-15 * exact
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_powers(self):
+        # 1e-160 ** 2 lies in the subnormals, where a direct sum of squares loses digits
+        mu = [3e-160, 1e-160]
+        got = schatten_norm(spectrum(mu), 2.0)
+        exact = self.mp_norm(mu, 2.0)
+        assert abs(mpmath.mpf(got) - exact) <= 2e-15 * exact
+
+    def test_empty_spectrum(self):
+        assert schatten_norm(spectrum([]), 2.0) == 0.0
 
     def test_squared_frobenius_identity(self):
         rng = np.random.default_rng(5)
@@ -241,6 +273,35 @@ class TestClassify:
         root = summability_classify(vals, IdealSpec.square_root_of(IdealSpec.schatten(1.0)), 2**16)
         assert base.verdict == "divergent"
         assert root.verdict == "summable"
+
+    @pytest.mark.parametrize("spec", [
+        IdealSpec.schatten(1.0),
+        IdealSpec.schatten(2.0),
+        IdealSpec.schatten(3.5),
+        IdealSpec.square_root_of(IdealSpec.schatten(1.0)),
+    ])
+    def test_partial_sums_are_the_direct_sums(self, spec):
+        rng = np.random.default_rng(17)
+        p = spec.effective_exponent
+        seqs = [lambda_sequence(eps, fam, 2**12) for eps in (0.3, 0.9)
+                for fam in ("paper_formula", "pure_power")]
+        seqs += [np.sort(rng.exponential(size=n))[::-1] for n in (8, 100, 2**12)]
+        for v in seqs:
+            n_max = 1 << (len(v).bit_length() - 1)
+            verdict = summability_classify(v, spec, n_max)
+            ns = verdict.evidence["N"]
+            assert ns == [n_max // 4, n_max // 2, n_max]
+            assert verdict.evidence["partial_sums"] == [float(np.sum(v[:n] ** p)) for n in ns]
+
+    def test_verdict_is_decision_and_evidence(self, monkeypatch):
+        assert [f.name for f in dataclasses.fields(SummabilityVerdict)] == ["verdict", "evidence"]
+
+        def no_fit(*args):
+            raise AssertionError("a summability verdict reads no decay fit")
+
+        monkeypatch.setattr(spectral, "_fit_exponent", no_fit)
+        lam = lambda_sequence(0.4, "pure_power", 2**10)
+        assert summability_classify(lam, IdealSpec.schatten(2.0), 2**10).verdict == "divergent"
 
     def test_bad_n_max(self):
         with pytest.raises(ValueError, match="power of two"):
