@@ -25,6 +25,7 @@ from .spectral import (
     SummabilityVerdict,
     decay_exponent,
     dixmier_estimate,
+    fit_exponent,
     schatten_norm,
     singular_values,
     summability_classify,

@@ -28,7 +28,7 @@ from .hardy import (
     multiplication_operator,
     symbol_product,
 )
-from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, _fit_exponent
+from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, fit_exponent
 from .spectral import schatten_norm, summability_classify
 
 FAMILIES = ("paper_formula", "pure_power")
@@ -315,7 +315,7 @@ def epsilon_sweep(
         points.append(
             SweepPoint(
                 eps=eps,
-                measured_exponent=_fit_exponent(lam, N_max // 4, N_max // 2),
+                measured_exponent=fit_exponent(lam, N_max // 4, N_max // 2),
                 verdict_p=verdict_p,
                 verdict_2p=verdict_2p,
                 doubling_ratio_p=sums[2] / sums[1],

@@ -101,24 +101,27 @@ def singular_values(A: WindowedOperator | np.ndarray, label: str = "") -> Singul
 
 
 def schatten_norm(s: SingularSpectrum, p: float) -> float:
-    """(sum mu_k^p)^(1/p) as mu_0 (sum (mu_k/mu_0)^p)^(1/p); 0.0 for an all-zero spectrum.
+    """(sum mu_k^p)^(1/p) as m (sum (mu_k/m)^p)^(1/p), m = max mu; 0.0 for an all-zero spectrum.
 
-    The ratios lie in [0, 1] and the first is 1, so no power overflows and
-    no power that falls into subnormals moves the sum.
+    The ratios lie in [0, 1] and one is 1, so no power overflows and no
+    power that falls into subnormals moves the sum.  Scaling by the maximum
+    rather than mu_0 keeps this true for the slightly unsorted tiny spectra
+    that SingularSpectrum's absolute order tolerance accepts.
     """
     if p <= 0:
         raise ValueError(f"schatten exponent must be positive, got {p}")
     mu = s.values
     if not mu.any():
         return 0.0
-    return float(mu[0] * np.sum((mu / mu[0]) ** p) ** (1.0 / p))
+    top = mu.max()
+    return float(top * np.sum((mu / top) ** p) ** (1.0 / p))
 
 
 def decay_exponent(s: SingularSpectrum, k_lo: int, k_hi: int) -> float:
     """Least-squares power-law exponent alpha with mu_k ~ k^(-alpha) over [k_lo, k_hi]."""
     if k_lo < 1 or k_hi >= len(s) or k_hi - k_lo + 1 < 8:
         raise ValueError(f"need 1 <= k_lo <= k_hi < len, >= 8 samples; got [{k_lo},{k_hi}]")
-    alpha = _fit_exponent(s.values, k_lo, k_hi)
+    alpha = fit_exponent(s.values, k_lo, k_hi)
     if math.isnan(alpha):
         raise ValueError("zero singular values in fit range; log-log fit undefined")
     return alpha
@@ -142,8 +145,12 @@ def dixmier_estimate(s: SingularSpectrum, N: int) -> float:
     return float(np.sum(s.values[:N]) / math.log(N))
 
 
-def _fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
-    """Power-law exponent of values over [k_lo, k_hi]; nan if under 8 samples or one <= 0."""
+def fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
+    """Power-law exponent of values over [k_lo, k_hi]; nan if under 8 samples or one <= 0.
+
+    The fit behind decay_exponent, for callers that record nan instead of
+    raising (the epsilon sweep fits each lambda sequence with it once).
+    """
     ks = np.arange(k_lo, k_hi + 1)
     ks = ks[ks < len(values)]
     if len(ks) < 8:

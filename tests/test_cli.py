@@ -1,8 +1,8 @@
 """Tests for the command-line driver: dispatch, reports, and exit codes."""
 
 import json
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -232,9 +232,10 @@ class TestDispatch:
         assert main(["spectrum", "--symbol", str(sym), "--op", "commutator", "--out", str(out)]) == 0
         results = json.loads(out.read_text())["results"]
         assert results["spectrum_head"][:3] == [3e-160, 1e-160, 0.0]
-        with mpmath.workdps(50):
-            exact = mpmath.sqrt(mpmath.mpf(3e-160) ** 2 + mpmath.mpf(1e-160) ** 2)
-            assert abs(mpmath.mpf(results["schatten_2"]) - exact) <= 2e-15 * exact
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(3e-160) ** 2 + Decimal(1e-160) ** 2).sqrt()
+            assert abs(Decimal(results["schatten_2"]) - exact) <= Decimal(2e-15) * exact
 
     def test_csv_write_failure(self, symbol_file, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "x.csv"

@@ -21,7 +21,7 @@ from oil import (
     toeplitz_compress,
 )
 from oil import deformation, spectral
-from oil.spectral import _fit_exponent
+from oil.spectral import fit_exponent
 
 Z = make_symbol([(1, 1.0)])
 
@@ -315,20 +315,20 @@ class TestEpsilonSweep:
 
         def counted_fit(values, k_lo, k_hi):
             fits.append((values, k_lo, k_hi))
-            return _fit_exponent(values, k_lo, k_hi)
+            return fit_exponent(values, k_lo, k_hi)
 
         def no_fit(*args):
             raise AssertionError("a summability verdict reads no decay fit")
 
-        monkeypatch.setattr(deformation, "_fit_exponent", counted_fit)
-        monkeypatch.setattr(spectral, "_fit_exponent", no_fit)
+        monkeypatch.setattr(deformation, "fit_exponent", counted_fit)
+        monkeypatch.setattr(spectral, "fit_exponent", no_fit)
         rep = epsilon_sweep(2.0, [0.3, 0.5, 0.8], family, n_max)
         assert len(fits) == len(rep.points)
         for pt, (values, k_lo, k_hi) in zip(rep.points, fits):
             lam = lambda_sequence(pt.eps, family, n_max)
             np.testing.assert_array_equal(values, lam)
             assert (k_lo, k_hi) == (n_max // 4, n_max // 2)
-            assert pt.measured_exponent == _fit_exponent(lam, n_max // 4, n_max // 2)
+            assert pt.measured_exponent == fit_exponent(lam, n_max // 4, n_max // 2)
 
     @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
     def test_bad_exponent(self, p):

@@ -1,8 +1,8 @@
 """Tests for singular-value analytics and summability classification."""
 
 import dataclasses
+from decimal import Decimal, localcontext
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,10 +97,12 @@ class TestSchattenNorm:
         assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @staticmethod
-    def mp_norm(mu, p):
-        with mpmath.workdps(50):
-            total = mpmath.fsum(mpmath.mpf(float(x)) ** p for x in mu)
-            return total ** (mpmath.mpf(1) / p) if total else mpmath.mpf(0)
+    def exact_norm(mu, p):
+        """(sum mu_k^p)^(1/p) in 50-digit decimal arithmetic; Decimal(float) is exact."""
+        with localcontext() as ctx:
+            ctx.prec = 50
+            total = sum(Decimal(float(x)) ** Decimal(p) for x in mu)
+            return total ** (1 / Decimal(p)) if total else Decimal(0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7, 8.0])
@@ -109,17 +111,26 @@ class TestSchattenNorm:
         rng = np.random.default_rng(7)
         for _ in range(10):
             mu = np.sort(scale * rng.exponential(size=rng.integers(1, 40)))[::-1]
-            exact = self.mp_norm(mu, p)
+            exact = self.exact_norm(mu, p)
             got = schatten_norm(spectrum(mu), p)
-            assert abs(mpmath.mpf(got) - exact) <= 2e-15 * exact
+            assert abs(Decimal(got) - exact) <= Decimal(2e-15) * exact
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_powers(self):
         # 1e-160 ** 2 lies in the subnormals, where a direct sum of squares loses digits
         mu = [3e-160, 1e-160]
         got = schatten_norm(spectrum(mu), 2.0)
-        exact = self.mp_norm(mu, 2.0)
-        assert abs(mpmath.mpf(got) - exact) <= 2e-15 * exact
+        exact = self.exact_norm(mu, 2.0)
+        assert abs(Decimal(got) - exact) <= Decimal(2e-15) * exact
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_unsorted_spectrum_accepted_by_the_order_tolerance(self):
+        # the order check's absolute tolerance admits [1e-300, 1e-13]; scaling by
+        # mu_0 would overflow (1e-13 / 1e-300)^p, scaling by the maximum does not
+        mu = [1e-300, 1e-13]
+        got = schatten_norm(spectrum(mu), 2.0)
+        exact = self.exact_norm(mu, 2.0)
+        assert abs(Decimal(got) - exact) <= Decimal(2e-15) * exact
 
     def test_empty_spectrum(self):
         assert schatten_norm(spectrum([]), 2.0) == 0.0
@@ -299,7 +310,7 @@ class TestClassify:
         def no_fit(*args):
             raise AssertionError("a summability verdict reads no decay fit")
 
-        monkeypatch.setattr(spectral, "_fit_exponent", no_fit)
+        monkeypatch.setattr(spectral, "fit_exponent", no_fit)
         lam = lambda_sequence(0.4, "pure_power", 2**10)
         assert summability_classify(lam, IdealSpec.schatten(2.0), 2**10).verdict == "divergent"
 
