@@ -212,14 +212,19 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     Returns (product_defect, adjoint_defect) where product_defect is
     T_{ab} - T_a T_b and adjoint_defect is T_{conj(a)} - (T_a)^*.  The
     window must be guard-valid for depth 2 at the combined bandwidth.
+
+    Every Toeplitz compression is zero off the Hardy quadrant, so T_a T_b
+    is formed there alone, and product_defect is exactly +0.0 elsewhere.
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
+    q = slice(-w.lo, None)  # the Hardy modes, the range of P
     ta = toeplitz_compress(a, w).entries
     tb = toeplitz_compress(b, w).entries
     tab = toeplitz_compress(symbol_product(a, b), w).entries
     tconj = toeplitz_compress(symbol_conjugate(a), w).entries
-    product = WindowedOperator(w, tab - ta @ tb, label="product_defect")
+    tab[q, q] -= ta[q, q] @ tb[q, q]
+    product = WindowedOperator(w, tab, label="product_defect")
     adjoint = WindowedOperator(w, tconj - ta.conj().T, label="adjoint_defect")
     return product, adjoint
 
@@ -233,11 +238,33 @@ def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:
     return _opnorm(tr - u[:, None] * ta * u.conj())
 
 
+def _svdvals(x: np.ndarray) -> np.ndarray:
+    """Singular values of x, descending, padded with exact zeros to min(x.shape).
+
+    The nonzero singular values of a matrix are those of the block of its
+    nonzero rows and columns, so only that block goes to the SVD; a matrix
+    with no zero row or column goes to the SVD as it is, uncopied.
+    """
+    nonzero = x != 0
+    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
+    if rows.all() and cols.all():
+        return np.linalg.svd(x, compute_uv=False)
+    s = np.zeros(min(x.shape))
+    if rows.any():
+        block = np.linalg.svd(x[np.ix_(rows, cols)], compute_uv=False)
+        s[: block.size] = block
+    return s
+
+
 def _rank(s: np.ndarray) -> int:
     """Count of descending singular values above RANK_CUTOFF times the largest one."""
     return int(np.sum(s > RANK_CUTOFF * s[0])) if s.size else 0
 
 
 def numerical_rank(x: np.ndarray) -> int:
-    """Count of singular values of x above RANK_CUTOFF times the largest one."""
-    return _rank(np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False))
+    """Count of singular values of x above RANK_CUTOFF times the largest one.
+
+    The SVD sees only the nonzero rows and columns of x, so a Hankel or
+    commutator block costs its Kronecker corner, not the whole window.
+    """
+    return _rank(_svdvals(np.asarray(x, dtype=complex)))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hardy import WindowedOperator
+from .hardy import WindowedOperator, _svdvals
 
 DELTA_DIVERGENT = 0.05
 DELTA_SUMMABLE = 0.01
@@ -50,7 +50,7 @@ class IdealSpec:
 
     @staticmethod
     def schatten(p: float) -> "IdealSpec":
-        if p <= 0:
+        if not p > 0:  # also rejects nan
             raise ValueError(f"schatten exponent must be positive, got {p}")
         return IdealSpec(kind="schatten", p=float(p))
 
@@ -90,14 +90,18 @@ class SummabilityVerdict:
 
 
 def singular_values(A: WindowedOperator | np.ndarray, label: str = "") -> SingularSpectrum:
-    """Full SVD spectrum, descending."""
+    """All min(shape) singular values, descending, exact zeros included.
+
+    Only the nonzero rows and columns go to the SVD (hardy._svdvals), so a
+    finite-rank Hankel or commutator block costs its corner, not its window.
+    """
     if isinstance(A, WindowedOperator):
         x, label = A.entries, label or A.label
     else:
         x = np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
         raise ValueError("non-finite matrix entries")
-    return SingularSpectrum(np.linalg.svd(x, compute_uv=False), source_label=label)
+    return SingularSpectrum(_svdvals(x), source_label=label)
 
 
 def schatten_norm(s: SingularSpectrum, p: float) -> float:
@@ -108,7 +112,7 @@ def schatten_norm(s: SingularSpectrum, p: float) -> float:
     rather than mu_0 keeps this true for the slightly unsorted tiny spectra
     that SingularSpectrum's absolute order tolerance accepts.
     """
-    if p <= 0:
+    if not p > 0:  # also rejects nan
         raise ValueError(f"schatten exponent must be positive, got {p}")
     mu = s.values
     if not mu.any():

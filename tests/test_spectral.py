@@ -85,6 +85,10 @@ class TestSchattenNorm:
         with pytest.raises(ValueError, match="positive"):
             schatten_norm(spectrum([1.0]), 0.0)
 
+    def test_nan_exponent(self):
+        with pytest.raises(ValueError, match="positive"):
+            schatten_norm(spectrum([1.0]), float("nan"))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_finite_past_the_range_of_powers(self, scale):
@@ -232,6 +236,10 @@ class TestIdealSpec:
     def test_schatten_positive(self):
         with pytest.raises(ValueError):
             IdealSpec.schatten(-1.0)
+
+    def test_schatten_nan_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            IdealSpec.schatten(float("nan"))
 
     def test_square_root_doubles_exponent(self):
         spec = IdealSpec.square_root_of(IdealSpec.schatten(1.5))

@@ -1,0 +1,137 @@
+"""Stripped spectra and the Hardy-quadrant product against their dense references.
+
+singular_values and numerical_rank take the SVD of the nonzero rows and
+columns only, and splitting_defect forms T_a T_b on the Hardy quadrant only.
+The references here are the definitions they shortcut: np.linalg.svd of the
+whole matrix, and the full d x d product T_ab - T_a T_b.
+"""
+
+import numpy as np
+import pytest
+
+from oil import (
+    Window,
+    guard_slice,
+    hankel_operator,
+    make_symbol,
+    multiplication_operator,
+    numerical_rank,
+    projection_commutator,
+    singular_values,
+    splitting_defect,
+    symbol_product,
+    toeplitz_compress,
+)
+from oil.hardy import RANK_CUTOFF, TOLERANCES
+
+OPS = {
+    "toeplitz": toeplitz_compress,
+    "hankel": hankel_operator,
+    "commutator": projection_commutator,
+    "mult": multiplication_operator,
+}
+# (lo, hi): symmetric up to d = 385, lopsided, and the edge window lo = -1
+WINDOWS = [(-192, 192), (-64, 64), (-20, 100), (-100, 20), (-1, 40)]
+BANDWIDTHS = [1, 5, 32]
+
+
+def seeded_symbol(bandwidth: int, seed: int):
+    """Random complex coefficients at every degree in [-bandwidth, bandwidth]."""
+    rng = np.random.default_rng(seed)
+    degs = np.arange(-bandwidth, bandwidth + 1)
+    amps = rng.normal(size=degs.size) + 1j * rng.normal(size=degs.size)
+    return make_symbol(zip(degs.tolist(), amps.tolist()))
+
+
+def dense_svd(x) -> np.ndarray:
+    return np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """The arguments of every np.linalg.svd call made while the test runs."""
+    seen = []
+    svd = np.linalg.svd
+
+    def recording_svd(x, *args, **kwargs):
+        seen.append(x)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return seen
+
+
+class TestStrippedSpectrum:
+    @pytest.mark.parametrize("bandwidth", BANDWIDTHS)
+    @pytest.mark.parametrize("lo, hi", WINDOWS)
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_matches_dense_svd(self, op, lo, hi, bandwidth):
+        x = OPS[op](seeded_symbol(bandwidth, seed=hi - lo + bandwidth), Window(lo, hi)).entries
+        dense = dense_svd(x)
+        s = singular_values(x).values
+        assert s.shape == dense.shape
+        assert np.max(np.abs(s - dense)) <= TOLERANCES["numerical"] * dense[0]
+        assert numerical_rank(x) == int(np.sum(dense > RANK_CUTOFF * dense[0]))
+
+    @pytest.mark.parametrize("c", [3 + 4j, 0.7 - 1.3j, -2.5, 0.1j])
+    @pytest.mark.parametrize("k", [1, 2, 5, 17])
+    @pytest.mark.parametrize("op", ["hankel", "commutator"])
+    def test_monomial_gives_k_values_of_its_modulus(self, op, k, c):
+        w = Window(-40, 40)
+        s = singular_values(OPS[op](make_symbol([(-k, c)]), w)).values
+        assert len(s) == w.dimension
+        assert s[:k] == pytest.approx(np.full(k, abs(c)), rel=2.0**-50, abs=0.0)
+        assert np.all(s[k:] == 0.0) and not np.signbit(s).any()
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 7), (7, 3), (0, 4), (4, 0)])
+    def test_all_zero_matrix(self, shape):
+        s = singular_values(np.zeros(shape, dtype=complex)).values
+        assert s.shape == (min(shape),)
+        assert not s.any()
+        assert numerical_rank(np.zeros(shape)) == 0
+
+    @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])
+    def test_rectangular_matrix(self, shape, svd_calls):
+        x = np.zeros(shape, dtype=complex)
+        x[1, 2], x[4, 5], x[5, 1] = 3.0, -4j, 0.5 + 0.5j
+        x[1, 5] = 1.0
+        s = singular_values(x).values
+        assert [a.shape for a in svd_calls] == [(3, 3)]
+        assert s.shape == (6,)
+        assert not s[3:].any()
+        assert np.max(np.abs(s - dense_svd(x))) <= TOLERANCES["numerical"] * s[0]
+
+    @pytest.mark.parametrize("shape", [(40, 40), (30, 50), (50, 30)])
+    def test_no_zero_row_or_column_is_the_plain_svd(self, shape, svd_calls):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        x[0, 0] = 0.0  # a zero entry, but no zero row or column
+        s = singular_values(x).values
+        assert len(svd_calls) == 1 and svd_calls[0] is x  # uncopied
+        assert np.array_equal(s, dense_svd(x))
+
+
+class TestQuadrantProduct:
+    @pytest.mark.parametrize("bw_a, bw_b", [(1, 1), (5, 2), (16, 16), (32, 8)])
+    @pytest.mark.parametrize("lo, hi", [(-192, 192), (-70, 150), (-150, 70), (-1, 170), (0, 170)])
+    def test_matches_dense_product(self, lo, hi, bw_a, bw_b):
+        w = Window(lo, hi)
+        a, b = seeded_symbol(bw_a, seed=hi), seeded_symbol(bw_b, seed=-lo)
+        product, _ = splitting_defect(a, b, w)
+        ta = toeplitz_compress(a, w).entries
+        tb = toeplitz_compress(b, w).entries
+        dense = toeplitz_compress(symbol_product(a, b), w).entries - ta @ tb
+        sl = guard_slice(w, 2, bw_a + bw_b)
+        assert np.max(np.abs(product.entries - dense)[sl, sl]) <= TOLERANCES["identity"]
+        outside = np.ones((w.dimension, w.dimension), dtype=bool)
+        outside[-lo:, -lo:] = False
+        off = product.entries[outside]
+        assert not off.any()
+        assert not np.signbit(off.real).any() and not np.signbit(off.imag).any()
+
+    def test_kronecker_rank_without_a_window_wide_svd(self, svd_calls):
+        """On d = 2049 the Hankel rank is its co-analytic degree, read from a 7 x 7 corner."""
+        a = make_symbol([(-7, 2.0), (-3, 0.5j), (-1, -0.25), (0, 1.0), (2, 0.3), (5, 1.5)])
+        w = Window(-1024, 1024)
+        assert numerical_rank(hankel_operator(a, w).entries) == 7
+        assert [x.shape for x in svd_calls] == [(7, 7)]
