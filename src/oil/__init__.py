@@ -23,8 +23,6 @@ from .spectral import (
     IdealSpec,
     SingularSpectrum,
     SummabilityVerdict,
-    decay_exponent,
-    dixmier_estimate,
     fit_exponent,
     schatten_norm,
     singular_values,
@@ -37,7 +35,6 @@ from .stinespring import (
     defect_identity_residuals,
     dilation_build,
     random_cp_contraction,
-    square_root_membership,
 )
 from .extensions import (
     IsometryPair,
@@ -51,7 +48,6 @@ from .deformation import (
     DeformationParams,
     LemmaReport,
     SweepReport,
-    chopping_asymptotic_bound,
     deformation_defect_residuals,
     deformation_operator,
     deformed_compression,
@@ -60,7 +56,6 @@ from .deformation import (
     lambda_sequence,
     lemma_lower_bound_report,
     quadratic_identity_residual,
-    signed_deformation_from_order,
 )
 
 __version__ = "0.1.0"

@@ -25,9 +25,9 @@ def _seed_default() -> int:
     if env is None:
         return DEFAULT_SEED
     try:
-        return int(env)
-    except ValueError as exc:
-        raise UsageError(f"OIL_SEED must be an integer, got {env!r}") from exc
+        return _seed(env)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"OIL_SEED: {exc}") from exc
 
 
 def _cmd_defect(args):
@@ -180,7 +180,7 @@ def _cmd_lemma(args):
         p=args.p,
         family=args.family,
         N=args.modes,
-        M=args.ambient if args.ambient else args.modes + 2,
+        M=args.ambient if args.ambient is not None else args.modes + 2,
         seed=args.seed,
     )
     rep = deformation.lemma_lower_bound_report(params, args.trials)
@@ -235,15 +235,20 @@ def _cmd_sweep(args):
     return True, results, {}
 
 
-def _count(text: str) -> int:
-    """argparse type of the counts and sizes: an integer >= 1."""
+def _count(text: str, least: int = 1) -> int:
+    """argparse type of the counts and sizes: an integer >= least (1; the seed's is 0)."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed, and the reader of OIL_SEED: an integer >= 0."""
+    return _count(text, least=0)
 
 
 _FAMILY_ALIASES = {
@@ -261,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed, default=None)
 
     p = sub.add_parser("defect", help="Toeplitz splitting defects of two symbols")
     p.add_argument("--symbol-a", required=True)
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--modes", type=_count, default=128)
-    p.add_argument("--ambient", type=int, default=None)
+    p.add_argument("--ambient", type=_count, default=None)
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--family", default="paper")
     common(p)

@@ -90,13 +90,8 @@ def deformation_operator(lam, w: Window) -> WindowedOperator:
     return WindowedOperator(w, np.diag(lam[: w.dimension]).astype(complex), label="deformation")
 
 
-def signed_deformation_from_order(eps: float, w: Window) -> WindowedOperator:
-    """Diagonal with entries k^eps (1+k^{2 eps})^{-1/2} - 1, i.e. -lambda_k."""
-    return deformation_operator(-lambda_sequence(eps, "paper_formula", w.dimension), w)
-
-
 def quadratic_identity_residual(eps: float, w: Window) -> float:
-    """Residual of (T+P)^2 - P = -P (1 + K^2)^{-1} P for the signed deformation."""
+    """Residual of (T+P)^2 - P = -P (1 + K^2)^{-1} P for the signed deformation T = -lambda."""
     if not w.is_hardy:
         raise ValueError("the quadratic identity is checked on a Hardy-only window")
     # every factor is diagonal on the Hardy window (P is the identity),
@@ -107,14 +102,6 @@ def quadratic_identity_residual(eps: float, w: Window) -> float:
     inv[1:] = 1.0 / (1.0 + k[1:] ** (2.0 * eps))
     lhs = (t + 1.0) ** 2 - 1.0
     return float(np.max(np.abs(lhs + inv)))
-
-
-def chopping_asymptotic_bound(K: int, count: int) -> float:
-    """max of t^2 (1 - t (1+t^2)^{-1/2}) over the count integers from K up."""
-    if K < 1 or count < 1:
-        raise ValueError("K and count must be >= 1")
-    t = np.arange(K, K + count, dtype=float)
-    return float(np.max(t**2 * _one_minus_inv_sqrt(t ** (-2.0))))
 
 
 def _p_plus_t(T: WindowedOperator, w: Window) -> tuple[np.ndarray, np.ndarray]:

@@ -46,12 +46,6 @@ class Symbol:
             return 0
         return max(abs(deg) for deg, _ in self.coefficients)
 
-    def coeff(self, degree: int) -> complex:
-        for deg, amp in self.coefficients:
-            if deg == degree:
-                return amp
-        return 0j
-
 
 def make_symbol(pairs) -> Symbol:
     """Build a Symbol from (degree, amplitude) pairs; degrees must be distinct."""
@@ -101,11 +95,6 @@ class Window:
     @property
     def is_hardy(self) -> bool:
         return self.lo == 0
-
-    def index(self, mode: int) -> int:
-        if not (self.lo <= mode <= self.hi):
-            raise ValueError(f"mode {mode} outside window [{self.lo},{self.hi}]")
-        return mode - self.lo
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Singular-value analytics: Schatten norms, decay exponents, and
-summability verdicts standing in for operator-ideal membership.
+"""Singular-value analytics: Schatten norms, decay-exponent fits, and
+summability verdicts standing in for membership in a Schatten class.
 
-Membership of an operator in an ideal is never decided symbolically.
+Membership of an operator in an ideal is never decided symbolically; the
+ideals are the Schatten classes, each named by its exponent (IdealSpec).
 Each classification returns a SummabilityVerdict holding its decision and
 the partial sums it was derived from, nothing else, so any verdict can be
 re-checked from its own evidence; decay fits are measured separately.
@@ -35,50 +36,27 @@ class SingularSpectrum:
             raise ValueError("singular values must be non-increasing")
         object.__setattr__(self, "values", v)
 
-    def __len__(self):
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Operator-ideal descriptor: schatten(p), dixmier(n), or a square root."""
+    """Schatten class of exponent p: the operators whose singular values are p-summable.
 
-    kind: str
-    p: float | None = None
-    n: int | None = None
-    inner: "IdealSpec | None" = None
+    Every ideal the laboratory decides is one of these; the square root of
+    schatten(p) is schatten(2p).
+    """
+
+    p: float
+
+    def __post_init__(self):
+        if not self.p > 0:  # also rejects nan
+            raise ValueError(f"schatten exponent must be positive, got {self.p}")
 
     @staticmethod
     def schatten(p: float) -> "IdealSpec":
-        if not p > 0:  # also rejects nan
-            raise ValueError(f"schatten exponent must be positive, got {p}")
-        return IdealSpec(kind="schatten", p=float(p))
-
-    @staticmethod
-    def dixmier(n: int = 1) -> "IdealSpec":
-        if n < 1:
-            raise ValueError(f"dixmier order must be >= 1, got {n}")
-        return IdealSpec(kind="dixmier", n=int(n))
-
-    @staticmethod
-    def square_root_of(inner: "IdealSpec") -> "IdealSpec":
-        return IdealSpec(kind="square_root", inner=inner)
-
-    @property
-    def effective_exponent(self) -> float:
-        """Summability exponent: p for schatten, 2p for its square root."""
-        if self.kind == "schatten":
-            return self.p
-        if self.kind == "square_root":
-            return 2.0 * self.inner.effective_exponent
-        raise ValueError("dixmier ideals have no summability exponent")
+        return IdealSpec(float(p))
 
     def describe(self) -> str:
-        if self.kind == "schatten":
-            return f"schatten({self.p:g})"
-        if self.kind == "dixmier":
-            return f"dixmier({self.n})"
-        return f"sqrt[{self.inner.describe()}]"
+        return f"schatten({self.p:g})"
 
 
 @dataclass(frozen=True)
@@ -121,16 +99,6 @@ def schatten_norm(s: SingularSpectrum, p: float) -> float:
     return float(top * np.sum((mu / top) ** p) ** (1.0 / p))
 
 
-def decay_exponent(s: SingularSpectrum, k_lo: int, k_hi: int) -> float:
-    """Least-squares power-law exponent alpha with mu_k ~ k^(-alpha) over [k_lo, k_hi]."""
-    if k_lo < 1 or k_hi >= len(s) or k_hi - k_lo + 1 < 8:
-        raise ValueError(f"need 1 <= k_lo <= k_hi < len, >= 8 samples; got [{k_lo},{k_hi}]")
-    alpha = fit_exponent(s.values, k_lo, k_hi)
-    if math.isnan(alpha):
-        raise ValueError("zero singular values in fit range; log-log fit undefined")
-    return alpha
-
-
 def tail_doubling_ratio(values, p: float, N: int) -> float:
     """S_{2N}/S_N for the partial sums of values^p."""
     v = np.asarray(values, dtype=float)
@@ -142,18 +110,13 @@ def tail_doubling_ratio(values, p: float, N: int) -> float:
     return float(np.sum(v[: 2 * N] ** p)) / s_n
 
 
-def dixmier_estimate(s: SingularSpectrum, N: int) -> float:
-    """Logarithmic mean (sum_{k<N} mu_k) / ln N, a Dixmier-trace surrogate."""
-    if N < 2 or N > len(s):
-        raise ValueError(f"need 2 <= N <= length, got N={N}")
-    return float(np.sum(s.values[:N]) / math.log(N))
-
-
 def fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
-    """Power-law exponent of values over [k_lo, k_hi]; nan if under 8 samples or one <= 0.
+    """Least-squares exponent alpha with values_k ~ k^(-alpha) over [k_lo, k_hi].
 
-    The fit behind decay_exponent, for callers that record nan instead of
-    raising (the epsilon sweep fits each lambda sequence with it once).
+    Indices past the end of values are dropped; the result is nan when
+    fewer than 8 remain or one of their values is <= 0, so callers record
+    nan rather than catch an error (the epsilon sweep fits each lambda
+    sequence with it once).
     """
     ks = np.arange(k_lo, k_hi + 1)
     ks = ks[ks < len(values)]
@@ -166,23 +129,19 @@ def fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
 
 
 def summability_classify(values, spec: IdealSpec, N_max: int) -> SummabilityVerdict:
-    """Classify a nonnegative sequence against an ideal spec by doubling sums.
+    """Classify a nonnegative sequence against schatten(spec.p) by doubling sums.
 
-    Divergent when both doubling ratios exceed 1+DELTA_DIVERGENT; summable when
-    the last doubling increment is at most DELTA_SUMMABLE relative; otherwise
-    inconclusive.  Dixmier specs track the logarithmic means instead of
-    the powered partial sums.
+    The statistics are the partial sums of values^p at N_max/4, N_max/2 and
+    N_max.  Divergent when both doubling ratios exceed 1+DELTA_DIVERGENT;
+    summable when the last doubling increment is at most DELTA_SUMMABLE
+    relative; otherwise inconclusive.
     """
     v = np.asarray(values, dtype=float)
     if N_max & (N_max - 1) or N_max < 8 or N_max > len(v):
         raise ValueError(f"N_max must be a power of two in [8, length], got {N_max}")
     ns = [N_max // 4, N_max // 2, N_max]
-    if spec.kind == "dixmier":
-        spectrum = SingularSpectrum(np.sort(v)[::-1], source_label="dixmier_input")
-        stats = [dixmier_estimate(spectrum, n) for n in ns]
-    else:
-        powers = v[:N_max] ** spec.effective_exponent
-        stats = [float(np.sum(powers[:n])) for n in ns]
+    powers = v[:N_max] ** spec.p
+    stats = [float(np.sum(powers[:n])) for n in ns]
     evidence = {
         "N": ns,
         "partial_sums": stats,

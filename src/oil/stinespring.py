@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hardy import TOLERANCES, _opnorm
-from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, summability_classify
 
 
 @dataclass(frozen=True)
@@ -160,12 +159,3 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     blockdiag[m:, m:] = pi21a @ pi12a
     r2 = _opnorm(comm @ comm + blockdiag)
     return r1, r2
-
-
-def square_root_membership(
-    s: SingularSpectrum, p: float, N_max: int
-) -> tuple[SummabilityVerdict, SummabilityVerdict]:
-    """Verdicts for x in sqrt(schatten(p)) (i.e. schatten(2p)) and in schatten(p)."""
-    in_sqrt = summability_classify(s.values, IdealSpec.schatten(2.0 * p), N_max)
-    in_base = summability_classify(s.values, IdealSpec.schatten(p), N_max)
-    return in_sqrt, in_base

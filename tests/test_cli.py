@@ -23,7 +23,7 @@ class TestSymbolFile:
         path = tmp_path / "z.json"
         path.write_text("[[1, 1, 0]]")
         a = load_symbol_file(path)
-        assert a.coeff(1) == 1.0 and a.bandwidth == 1
+        assert a.coefficients == ((1, 1.0),) and a.bandwidth == 1
 
     def test_empty(self, tmp_path):
         path = tmp_path / "zero.json"
@@ -58,7 +58,7 @@ class TestSymbolFile:
     def test_integral_float_degree(self, tmp_path):
         path = tmp_path / "z.json"
         path.write_text("[[1.0, 1, 0]]")
-        assert load_symbol_file(path).coeff(1) == 1.0
+        assert load_symbol_file(path).coefficients == ((1, 1.0),)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -149,6 +149,7 @@ class TestDispatch:
         ["lemma-check", "--p", "inf", "--eps", "0.4"],
         ["lemma-check", "--p", "2", "--eps", "0.4", "--trials", "0"],
         ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "0"],
+        ["lemma-check", "--p", "2", "--eps", "0.4", "--ambient", "0"],
         ["deformation-check", "--eps", "nan"],
         ["deformation-check", "--eps", "0.4", "--modes", "-1"],
         ["sum-demo", "--trials", "0"],
@@ -166,6 +167,22 @@ class TestDispatch:
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "oil" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2", "--max-index", "1024"],
+        ["deformation-check", "--eps", "0.4", "--modes", "8"],
+        ["stinespring-check", "--maps", "1", "--pairs", "1"],
+        ["sum-demo", "--size", "4", "--trials", "1"],
+        ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"],
+    ])
+    def test_negative_seed_is_usage_error_naming_it(self, argv, monkeypatch, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        monkeypatch.setenv("OIL_SEED", "-2")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "OIL_SEED" in err and "Traceback" not in err
+        assert main(argv + ["--seed", "0"]) == 0  # the flag is read before the variable
 
     def test_determinism(self, tmp_path):
         args = [

@@ -7,7 +7,6 @@ from oil import (
     DeformationParams,
     GuardBandError,
     Window,
-    chopping_asymptotic_bound,
     deformation_defect_residuals,
     deformation_operator,
     deformed_compression,
@@ -17,7 +16,6 @@ from oil import (
     lemma_lower_bound_report,
     make_symbol,
     quadratic_identity_residual,
-    signed_deformation_from_order,
     toeplitz_compress,
 )
 from oil import deformation, spectral
@@ -48,6 +46,14 @@ class TestLambdaSequence:
             k = 10**4
             u = k ** (-2.0 * eps)
             assert lam[k] * k ** (2 * eps) == pytest.approx(0.5 - 0.375 * u, rel=1e-4)
+
+    def test_scaled_sequence_rises_to_half(self):
+        # lambda_k k^{2 eps} = g(u)/u with g(u) = 1 - (1+u)^{-1/2} concave, so it
+        # climbs to 1/2 from below as u = k^{-2 eps} falls; eps = 1 is the chopping bound
+        for eps in (0.3, 0.6, 1.0):
+            lam = lambda_sequence(eps, "paper_formula", 1001)
+            gaps = [0.5 - lam[k] * k ** (2 * eps) for k in (10, 100, 1000)]
+            assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_monotone_in_unit_interval(self):
         for family in ("paper_formula", "pure_power"):
@@ -89,8 +95,8 @@ class TestDeformationOperators:
 
     def test_signed_is_negative_lambda(self):
         w = Window(0, 31)
-        t = signed_deformation_from_order(0.4, w)
         lam = lambda_sequence(0.4, "paper_formula", 32)
+        t = deformation_operator(-lam, w)
         np.testing.assert_allclose(np.diag(t.entries).real, -lam, atol=1e-15)
         assert t.entries[0, 0] == -1.0
         np.testing.assert_array_equal(t.entries, t.entries.conj().T)
@@ -103,27 +109,15 @@ class TestQuadraticIdentity:
 
     def test_large_eps_entries_vanish(self):
         w = Window(0, 15)
-        t = signed_deformation_from_order(25.0, w).entries
+        t = deformation_operator(-lambda_sequence(25.0, "paper_formula", 16), w).entries
         prod = t @ t + 2 * t
         assert abs(prod[0, 0] + 1.0) < 1e-15
         assert np.max(np.abs(np.diag(prod)[2:])) < 1e-12
 
     def test_mode_zero_entry(self):
         for eps in (0.3, 1.0, 2.0):
-            t = signed_deformation_from_order(eps, Window(0, 7)).entries
+            t = deformation_operator(-lambda_sequence(eps, "paper_formula", 8), Window(0, 7)).entries
             assert (t @ t + 2 * t)[0, 0] == pytest.approx(-1.0, abs=1e-15)
-
-
-class TestChoppingBound:
-    def test_first_value(self):
-        assert chopping_asymptotic_bound(1, 1) == pytest.approx(1.0 - 2.0**-0.5, abs=1e-15)
-
-    def test_limit_is_half(self):
-        assert chopping_asymptotic_bound(10**4, 10) == pytest.approx(0.5, rel=1e-6)
-
-    def test_distance_to_half_shrinks(self):
-        gaps = [0.5 - chopping_asymptotic_bound(k, 10) for k in (10, 100, 1000)]
-        assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
 class TestDeformedCompression:

@@ -1,0 +1,43 @@
+"""The public surface of oil holds only what something reaches.
+
+A function that oil exports stays only if a subcommand, an acceptance
+criterion or a benchmark workload names it outside its own module, or if
+it states a paper object or identity, listed in KEEP with that identity.
+"""
+
+import inspect
+import re
+from pathlib import Path
+
+import oil
+
+ROOT = Path(__file__).resolve().parents[1]
+READERS = [
+    *(ROOT / "src" / "oil").glob("*.py"),
+    *(ROOT / "perfbench").glob("*.py"),
+    ROOT / "tests" / "test_acceptance.py",
+]
+KEEP = {
+    "rotation_equivariance_residual": "the G-action: tau(R_theta a) = U_theta tau(a) U_theta^*",
+    "toeplitz_invertibility_report": "invertibility via Toeplitz operators with abstract symbol",
+    "complement_compression": "the compression (1-P) M_a (1-P) of the inverse extension",
+    "symbol_conjugate": "the adjoint symbol: T_conj(a) = (T_a)^*",
+}
+
+
+def exported_functions():
+    return {name: obj for name, obj in vars(oil).items() if inspect.isfunction(obj)}
+
+
+def test_keep_table_names_exported_functions():
+    assert set(KEEP) <= set(exported_functions())
+
+
+def test_every_exported_function_is_reached():
+    unreached = []
+    for name, obj in exported_functions().items():
+        skip = {Path(inspect.getsourcefile(obj)).resolve(), Path(oil.__file__).resolve()}
+        named = re.compile(rf"\b{name}\b")
+        if not any(named.search(f.read_text()) for f in READERS if f.resolve() not in skip):
+            unreached.append(name)
+    assert sorted(set(unreached) - set(KEEP)) == []

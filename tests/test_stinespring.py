@@ -6,12 +6,9 @@ import pytest
 from oil import (
     CpMap,
     DilationData,
-    IdealSpec,
-    SingularSpectrum,
     defect_identity_residuals,
     dilation_build,
     random_cp_contraction,
-    square_root_membership,
 )
 
 
@@ -253,23 +250,3 @@ class TestDefectIdentities:
         )[::-1]
         np.testing.assert_allclose(np.sort(mu_comm**2)[::-1], mu_blocks, atol=1e-10)
 
-
-class TestSquareRootMembership:
-    def test_harmonic_split(self):
-        vals = 1.0 / np.arange(1.0, 2**16 + 1)
-        in_sqrt, in_base = square_root_membership(SingularSpectrum(vals), 1.0, 2**16)
-        assert in_sqrt.verdict == "summable"
-        assert in_base.verdict == "divergent"
-
-    def test_fast_decay_both_summable(self):
-        vals = np.arange(1.0, 2**12 + 1) ** -3.0
-        in_sqrt, in_base = square_root_membership(SingularSpectrum(vals), 1.0, 2**12)
-        assert in_sqrt.verdict == "summable"
-        assert in_base.verdict == "summable"
-
-    def test_finite_rank(self):
-        vals = np.zeros(2**10)
-        vals[:3] = [3.0, 2.0, 1.0]
-        in_sqrt, in_base = square_root_membership(SingularSpectrum(vals), 2.0, 2**10)
-        assert in_sqrt.verdict == "summable"
-        assert in_base.verdict == "summable"
