@@ -87,7 +87,7 @@ def deformation_operator(lam, w: Window) -> WindowedOperator:
     lam = np.asarray(lam, dtype=float)
     if len(lam) < w.dimension:
         raise ValueError(f"need {w.dimension} eigenvalues, got {len(lam)}")
-    return WindowedOperator(w, np.diag(lam[: w.dimension]).astype(complex), label="deformation")
+    return WindowedOperator(w, np.diag(lam[: w.dimension]).astype(complex))
 
 
 def quadratic_identity_residual(eps: float, w: Window) -> float:
@@ -121,7 +121,7 @@ def deformed_compression(T: WindowedOperator, a: Symbol, w: Window) -> WindowedO
     guard_slice(w, 3, a.bandwidth)
     _, q = _p_plus_t(T, w)
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, q[:, None] * m * q, label="deformed_compression")
+    return WindowedOperator(w, q[:, None] * m * q)
 
 
 def deformation_defect_residuals(
@@ -165,9 +165,7 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
 class LemmaReport:
     """Per-mode evidence for the unitary-quantified lower bound."""
 
-    params: DeformationParams
     trials: int
-    seeds: tuple[int, ...]
     min_gaps: np.ndarray  # per-mode minimum of <L*L e_k, e_k> - lambda_k^2 over trials
     lhs_norms: tuple[float, ...]
     rhs_norm: float
@@ -203,13 +201,12 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     s2 = shift[:n] ** 2  # diag of deformed^* deformed: each column holds one entry
     s2_res = float(np.max(np.abs(s2 - coeff**2)))
 
-    seeds = tuple(params.seed ^ t for t in range(trials))
     min_gaps = np.full(n, np.inf)
     lhs_norms = []
     s1_res = 0.0
-    for s in seeds:
+    for t in range(trials):
         u = np.eye(m, dtype=complex)
-        u[:n, :n] = haar_unitary(n, s)
+        u[:n, :n] = haar_unitary(n, params.seed ^ t)
         u_star_shift = np.zeros_like(u)  # U^* a: the columns of U^* moved one to the left
         u_star_shift[:, :-1] = u.conj().T[:, 1:]
         conj = u_star_shift @ u
@@ -226,9 +223,7 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
         lhs_norms.append(schatten_norm(SingularSpectrum(mu), params.p))
 
     return LemmaReport(
-        params=params,
         trials=trials,
-        seeds=seeds,
         min_gaps=min_gaps,
         lhs_norms=tuple(lhs_norms),
         rhs_norm=rhs,
@@ -253,7 +248,6 @@ class SweepPoint:
 class SweepReport:
     """Epsilon sweep over a lambda family at fixed Schatten exponent p."""
 
-    p: float
     family: str
     N_max: int
     points: tuple[SweepPoint, ...]
@@ -335,7 +329,6 @@ def epsilon_sweep(
         else ""
     )
     return SweepReport(
-        p=p,
         family=family,
         N_max=N_max,
         points=tuple(points),

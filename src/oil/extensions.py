@@ -65,14 +65,14 @@ def extension_sum(A: WindowedOperator, B: WindowedOperator) -> WindowedOperator:
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     out[::2, ::2] = A.entries  # V1 A V1^*: V1 sends mode k to mode 2k
     out[1::2, 1::2] = B.entries  # V2 B V2^*: V2 sends mode k to mode 2k+1
-    return WindowedOperator(Window(0, 2 * n - 1), out, label="extension_sum")
+    return WindowedOperator(Window(0, 2 * n - 1), out)
 
 
 def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
     """Compression (1-P) M_a (1-P) to the strictly negative modes."""
     _require_two_sided(w, "complement_compression")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "--"), label="complement_compression")
+    return WindowedOperator(w, _quadrants(m, w, "--"))
 
 
 def _doubled_window(w: Window) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +115,7 @@ def toeplitz_invertibility_report(
 ) -> dict:
     """Evidence that (P, M_a) is a Toeplitz pair for the given ideal spec."""
     comm = projection_commutator(a, w)
-    spectrum = singular_values(comm, label=f"[P,M_a] on [{w.lo},{w.hi}]")
+    spectrum = singular_values(comm)
     verdict = summability_classify(spectrum.values, spec, N_max)
     r_u, r_p, r_id = inverse_identity_residuals(a, w)
     return {

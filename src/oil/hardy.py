@@ -23,8 +23,12 @@ TOLERANCES = {  # tolerances of the checks and constructions, by kind of residua
 
 
 def _opnorm(x: np.ndarray) -> float:
-    """Largest singular value; + 0.0 turns -0.0 into +0.0, since the SVD reads zero signs."""
-    return float(np.linalg.svd(np.asarray(x) + 0.0, compute_uv=False)[0])
+    """Largest singular value, 0.0 for an empty matrix.
+
+    + 0.0 turns -0.0 into +0.0, since the SVD reads zero signs.
+    """
+    s = np.linalg.svd(np.asarray(x) + 0.0, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
 class GuardBandError(ValueError):
@@ -103,7 +107,6 @@ class WindowedOperator:
 
     window: Window
     entries: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
@@ -113,9 +116,6 @@ class WindowedOperator:
         if not np.all(np.isfinite(entries.real)) or not np.all(np.isfinite(entries.imag)):
             raise ValueError("non-finite matrix entries")
         object.__setattr__(self, "entries", entries)
-
-    def norm(self) -> float:
-        return _opnorm(self.entries)
 
 
 def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
@@ -142,7 +142,7 @@ def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
         if abs(deg) < d:
             k = np.arange(d - abs(deg))
             m[k + max(deg, 0), k + max(-deg, 0)] += amp
-    return WindowedOperator(w, m, label="mult")
+    return WindowedOperator(w, m)
 
 
 def _quadrants(x: np.ndarray, w: Window, *keep: str) -> np.ndarray:
@@ -166,13 +166,13 @@ def _hardy_diagonal(w: Window) -> np.ndarray:
 
 def hardy_projection(w: Window) -> WindowedOperator:
     """Diagonal projection onto the nonnegative Fourier modes of the window."""
-    return WindowedOperator(w, np.diag(_hardy_diagonal(w)), label="hardy_projection")
+    return WindowedOperator(w, np.diag(_hardy_diagonal(w)))
 
 
 def toeplitz_compress(a: Symbol, w: Window) -> WindowedOperator:
     """Toeplitz compression P M_a P on the window."""
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "++"), label="toeplitz")
+    return WindowedOperator(w, _quadrants(m, w, "++"))
 
 
 def _require_two_sided(w: Window, what: str):
@@ -184,7 +184,7 @@ def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Hankel part (1-P) M_a P; the range lives on negative modes."""
     _require_two_sided(w, "hankel_operator")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "-+"), label="hankel")
+    return WindowedOperator(w, _quadrants(m, w, "-+"))
 
 
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
@@ -192,7 +192,7 @@ def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     _require_two_sided(w, "projection_commutator")
     m = multiplication_operator(a, w).entries
     comm = _quadrants(m, w, "+-") - _quadrants(m, w, "-+")  # P M_a (1-P) - (1-P) M_a P
-    return WindowedOperator(w, comm, label="commutator")
+    return WindowedOperator(w, comm)
 
 
 def splitting_defect(a: Symbol, b: Symbol, w: Window):
@@ -213,8 +213,8 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     tab = toeplitz_compress(symbol_product(a, b), w).entries
     tconj = toeplitz_compress(symbol_conjugate(a), w).entries
     tab[q, q] -= ta[q, q] @ tb[q, q]
-    product = WindowedOperator(w, tab, label="product_defect")
-    adjoint = WindowedOperator(w, tconj - ta.conj().T, label="adjoint_defect")
+    product = WindowedOperator(w, tab)
+    adjoint = WindowedOperator(w, tconj - ta.conj().T)
     return product, adjoint
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .hardy import Symbol, make_symbol
-from .spectral import SingularSpectrum, SummabilityVerdict
+from .spectral import SummabilityVerdict
 
 
 class UsageError(ValueError):
@@ -29,8 +29,6 @@ def _plain(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, SummabilityVerdict):
         return {"verdict": obj.verdict, "evidence": _plain(obj.evidence)}
-    if isinstance(obj, SingularSpectrum):
-        return {"source": obj.source_label, "values": _plain(obj.values)}
     if isinstance(obj, float) and not np.isfinite(obj):  # not valid JSON
         return repr(obj)  # "nan", "inf" or "-inf"
     return obj
@@ -74,9 +72,12 @@ def load_symbol_file(path) -> Symbol:
         if isinstance(deg, float) and not deg.is_integer():
             raise UsageError(f"bad symbol row {row!r}: degree must be an integer")
         try:
-            pairs.append((int(deg), complex(float(re), float(im))))
+            amp = complex(float(re), float(im))
         except OverflowError as exc:  # an integer beyond the float range
             raise UsageError(f"bad symbol row {row!r}: {exc}") from exc
+        if not np.isfinite(amp):  # json reads NaN, Infinity and -Infinity
+            raise UsageError(f"bad symbol row {row!r}: amplitudes must be finite")
+        pairs.append((int(deg), amp))
     try:
         return make_symbol(pairs)
     except ValueError as exc:

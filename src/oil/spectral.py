@@ -23,10 +23,9 @@ DELTA_SUMMABLE = 0.01
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Descending nonnegative singular values with provenance."""
+    """Descending nonnegative singular values."""
 
     values: np.ndarray
-    source_label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -67,19 +66,16 @@ class SummabilityVerdict:
     evidence: dict = field(default_factory=dict)
 
 
-def singular_values(A: WindowedOperator | np.ndarray, label: str = "") -> SingularSpectrum:
+def singular_values(A: WindowedOperator | np.ndarray) -> SingularSpectrum:
     """All min(shape) singular values, descending, exact zeros included.
 
     Only the nonzero rows and columns go to the SVD (hardy._svdvals), so a
     finite-rank Hankel or commutator block costs its corner, not its window.
     """
-    if isinstance(A, WindowedOperator):
-        x, label = A.entries, label or A.label
-    else:
-        x = np.asarray(A, dtype=complex)
+    x = A.entries if isinstance(A, WindowedOperator) else np.asarray(A, dtype=complex)
     if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
         raise ValueError("non-finite matrix entries")
-    return SingularSpectrum(_svdvals(x), source_label=label)
+    return SingularSpectrum(_svdvals(x))
 
 
 def schatten_norm(s: SingularSpectrum, p: float) -> float:

@@ -139,7 +139,10 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     """Residuals of the two block identities of the dilation.
 
     r1: kappa(ab) - kappa(a)kappa(b) = pi12(a) pi21(b).
-    r2: [P, pi(a)]^2 = -diag(pi12(a)pi21(a), pi21(a)pi12(a)).
+    r2: kappa(a a) - kappa(a)kappa(a) = pi12(a) pi21(a).
+
+    kappa is evaluated from the Kraus family and pi from Omega, so both fail
+    when pi does not dilate kappa as a homomorphism.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -148,14 +151,7 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
         raise ValueError(f"expected {n}x{n} inputs")
     _, pi12a, pi21a, _ = d.blocks(a)
     _, _, pi21b, _ = d.blocks(b)
-    r1 = _opnorm(d.cp.apply(a @ b) - d.cp.apply(a) @ d.cp.apply(b) - pi12a @ pi21b)
-
-    m = d.cp.m
-    comm = np.zeros((d.ambient_dim, d.ambient_dim), dtype=complex)
-    comm[:m, m:] = pi12a  # [P, pi(a)] = P pi(a) (1-P) - (1-P) pi(a) P
-    comm[m:, :m] -= pi21a
-    blockdiag = np.zeros_like(comm)
-    blockdiag[:m, :m] = pi12a @ pi21a
-    blockdiag[m:, m:] = pi21a @ pi12a
-    r2 = _opnorm(comm @ comm + blockdiag)
+    ka = d.cp.apply(a)
+    r1 = _opnorm(d.cp.apply(a @ b) - ka @ d.cp.apply(b) - pi12a @ pi21b)
+    r2 = _opnorm(d.cp.apply(a @ a) - ka @ ka - pi12a @ pi21a)
     return r1, r2

@@ -45,6 +45,9 @@ class TestSymbolFile:
             ("[[1, [1], 0]]", "must be numbers"),
             ("[[1, 1, \"0\"]]", "must be numbers"),
             ("[[Infinity, 1, 0]]", "degree must be an integer"),
+            ("[[1, NaN, 0]]", "amplitudes must be finite"),
+            ("[[1, 1, Infinity]]", "amplitudes must be finite"),
+            ("[[0, 1, 0], [2, -Infinity, 0]]", "amplitudes must be finite"),
             ("[[1, 1%s, 0]]" % ("0" * 400), "too large"),
         ],
     )

@@ -225,7 +225,7 @@ class TestLemmaLowerBound:
         assert rep.s1_max_residual <= 1e-10
         assert rep.s2_max_residual <= 1e-10
         assert len(rep.min_gaps) == 32
-        assert len(rep.seeds) == 20
+        assert rep.trials == len(rep.lhs_norms) == 20
 
     @pytest.mark.parametrize("family", ["paper_formula", "pure_power"])
     @pytest.mark.parametrize("eps, n", [(0.05, 8), (0.4, 32), (1.3, 129)])

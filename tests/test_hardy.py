@@ -269,3 +269,7 @@ class TestOpnorm:
         rng = np.random.default_rng(24)
         x = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         assert _opnorm(x) == np.linalg.norm(x, 2)
+
+    def test_empty_matrix_is_zero(self):
+        # `oil defect` takes a norm over the guard-valid Hardy modes, which can be none
+        assert _opnorm(np.zeros((0, 0), dtype=complex)) == 0.0

@@ -60,9 +60,8 @@ class TestSingularValues:
         )
 
     def test_accepts_windowed_operator(self):
-        op = WindowedOperator(Window(0, 2), np.diag([2.0, 1.0, 0.5]), label="diag")
+        op = WindowedOperator(Window(0, 2), np.diag([2.0, 1.0, 0.5]))
         s = singular_values(op)
-        assert s.source_label == "diag"
         np.testing.assert_allclose(s.values, [2.0, 1.0, 0.5])
 
 

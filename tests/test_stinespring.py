@@ -220,6 +220,17 @@ class TestDefectIdentities:
         r1, r2 = defect_identity_residuals(d, np.zeros((3, 3)), np.zeros((3, 3)))
         assert r1 == 0.0 and r2 == 0.0
 
+    def test_residuals_fail_when_pi_is_not_a_homomorphism(self, monkeypatch):
+        # every block matrix x has [P, x]^2 = -diag(x12 x21, x21 x12), so r2 must
+        # compare pi's blocks with kappa to see a pi that does not dilate it
+        d = dilation_build(random_cp_contraction(4, 4, 3, seed=80))
+        rng = np.random.default_rng(12)
+        arbitrary = random_matrix(rng, d.ambient_dim)
+        monkeypatch.setattr(DilationData, "rep", lambda self, a: arbitrary)
+        a, b = random_matrix(rng, 4), random_matrix(rng, 4)
+        r1, r2 = defect_identity_residuals(d, (a + a.conj().T) / 2, b)
+        assert r1 > 1.0 and r2 > 1.0
+
     def test_random_selfadjoint_residuals(self):
         rng = np.random.default_rng(10)
         for seed in range(5):

@@ -1,10 +1,14 @@
-"""Stripped spectra and the Hardy-quadrant product against their dense references.
+"""Stripped spectra and the Hardy-quadrant products against their dense references.
 
 singular_values and numerical_rank take the SVD of the nonzero rows and
-columns only, and splitting_defect forms T_a T_b on the Hardy quadrant only.
-The references here are the definitions they shortcut: np.linalg.svd of the
-whole matrix, and the full d x d product T_ab - T_a T_b.
+columns only, splitting_defect forms T_a T_b on the Hardy quadrant only, and
+`oil defect` takes its Widom form and its norms on that quadrant.  The
+references here are the definitions they shortcut: np.linalg.svd of the
+whole matrix, the full d x d product T_ab - T_a T_b, and the Widom form
+P M_a (1-P) M_b P as d x d masked products with d x d norms.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -19,9 +23,11 @@ from oil import (
     projection_commutator,
     singular_values,
     splitting_defect,
+    symbol_conjugate,
     symbol_product,
     toeplitz_compress,
 )
+from oil.cli import main
 from oil.hardy import RANK_CUTOFF, TOLERANCES
 
 OPS = {
@@ -135,3 +141,64 @@ class TestQuadrantProduct:
         w = Window(-1024, 1024)
         assert numerical_rank(hankel_operator(a, w).entries) == 7
         assert [x.shape for x in svd_calls] == [(7, 7)]
+
+
+def quadrants(x, w, *keep):
+    """Copy of x, zero outside the kept quadrants of the split at mode 0 ("+-": P x (1-P))."""
+    sides = {"-": slice(0, -w.lo), "+": slice(-w.lo, None)}
+    out = np.zeros_like(x)
+    for rows, cols in keep:
+        out[sides[rows], sides[cols]] = x[sides[rows], sides[cols]]
+    return out
+
+
+def dense_defect_results(a, b, w):
+    """defect_norm, hankel_product and adjoint_defect from d x d matrices and norms."""
+    ta, tb = toeplitz_compress(a, w).entries, toeplitz_compress(b, w).entries
+    product = toeplitz_compress(symbol_product(a, b), w).entries - ta @ tb
+    adjoint = toeplitz_compress(symbol_conjugate(a), w).entries - ta.conj().T
+    ma = multiplication_operator(a, w).entries
+    mb = multiplication_operator(b, w).entries
+    widom = quadrants(quadrants(ma, w, "+-") @ mb, w, "++")  # P M_a (1-P) M_b P
+    sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
+    return (
+        dense_svd(product)[0],
+        dense_svd((product - widom)[sl, sl])[0],
+        dense_svd(adjoint[sl, sl])[0],
+    )
+
+
+# windows by their guard width g = 2 (bw_a + bw_b): symmetric, the edge lo = -1,
+# -lo below and above g, hi + 1 below and at g (no or one guard-valid Hardy
+# mode), and the shortest window the guard allows
+GUARDED_WINDOWS = {
+    "symmetric": lambda g: (-3 * g, 3 * g),
+    "lo=-1": lambda g: (-1, 3 * g),
+    "-lo<g": lambda g: (-(g // 2), 3 * g),
+    "-lo>g": lambda g: (-2 * g, 3 * g),
+    "hi+1<g": lambda g: (-3 * g, g - 2),
+    "hi+1=g+1": lambda g: (-3 * g, g),
+    "shortest": lambda g: (-1, 2 * g - 1),
+}
+
+
+class TestDefectCommand:
+    @pytest.mark.parametrize("window", sorted(GUARDED_WINDOWS))
+    @pytest.mark.parametrize("bw_a, bw_b", [(1, 1), (5, 3), (16, 16)])
+    def test_matches_dense_widom_form(self, bw_a, bw_b, window, tmp_path, svd_calls):
+        lo, hi = GUARDED_WINDOWS[window](2 * (bw_a + bw_b))
+        a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
+        path_a, path_b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "defect.json"
+        for path, sym in ((path_a, a), (path_b, b)):
+            path.write_text(json.dumps([[k, c.real, c.imag] for k, c in sym.coefficients]))
+        argv = ["defect", "--symbol-a", str(path_a), "--symbol-b", str(path_b)]
+        assert main(argv + ["--lo", str(lo), "--hi", str(hi), "--out", str(out)]) == 0
+        shapes = [x.shape for x in svd_calls]
+        assert len(shapes) == 3 and all(max(shape) <= hi + 1 for shape in shapes)
+
+        report = json.loads(out.read_text())
+        norm, r_hankel, r_adjoint = dense_defect_results(a, b, Window(lo, hi))
+        got = report["results"]["defect_norm"]
+        assert abs(got - norm) <= TOLERANCES["identity"] * norm
+        assert abs(report["residuals"]["hankel_product"] - r_hankel) <= TOLERANCES["identity"]
+        assert abs(report["residuals"]["adjoint_defect"] - r_adjoint) <= TOLERANCES["identity"]
