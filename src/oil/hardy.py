@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 RANK_CUTOFF = 1e-10
 TOLERANCES = {  # tolerances of the checks and constructions, by kind of residual
@@ -103,7 +104,11 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowedOperator:
-    """Dense complex matrix indexed by a contiguous Fourier-mode window."""
+    """Dense complex matrix indexed by a contiguous Fourier-mode window.
+
+    The entries of multiplication_operator are a read-only strided view of
+    2d - 1 coefficients; every other builder returns a fresh writable array.
+    """
 
     window: Window
     entries: np.ndarray
@@ -113,7 +118,7 @@ class WindowedOperator:
         d = self.window.dimension
         if entries.shape != (d, d):
             raise ValueError(f"entries shape {entries.shape} != ({d},{d})")
-        if not np.all(np.isfinite(entries.real)) or not np.all(np.isfinite(entries.imag)):
+        if not np.isfinite(entries).all():
             raise ValueError("non-finite matrix entries")
         object.__setattr__(self, "entries", entries)
 
@@ -137,12 +142,11 @@ def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
 def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Truncation of multiplication by a: entry (j,k) is the coefficient at j-k."""
     d = w.dimension
-    m = np.zeros((d, d), dtype=complex)
+    c = np.zeros(2 * d - 1, dtype=complex)
     for deg, amp in a.coefficients:
         if abs(deg) < d:
-            k = np.arange(d - abs(deg))
-            m[k + max(deg, 0), k + max(-deg, 0)] += amp
-    return WindowedOperator(w, m)
+            c[d - 1 - deg] += amp  # += on +0.0 stores +0.0 for an amplitude's -0.0 part
+    return WindowedOperator(w, sliding_window_view(c, d)[::-1])  # read-only; row j starts at c[d-1-j]
 
 
 def _quadrants(x: np.ndarray, w: Window, *keep: str) -> np.ndarray:
@@ -191,7 +195,8 @@ def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     """Commutator [P, M_a] on the window."""
     _require_two_sided(w, "projection_commutator")
     m = multiplication_operator(a, w).entries
-    comm = _quadrants(m, w, "+-") - _quadrants(m, w, "-+")  # P M_a (1-P) - (1-P) M_a P
+    comm = _quadrants(m, w, "+-")  # P M_a (1-P) - (1-P) M_a P; 0.0 - x, not -x, keeps zeros +0.0
+    np.subtract(0.0, m[: -w.lo, -w.lo :], out=comm[: -w.lo, -w.lo :])
     return WindowedOperator(w, comm)
 
 
@@ -202,20 +207,21 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     T_{ab} - T_a T_b and adjoint_defect is T_{conj(a)} - (T_a)^*.  The
     window must be guard-valid for depth 2 at the combined bandwidth.
 
-    Every Toeplitz compression is zero off the Hardy quadrant, so T_a T_b
-    is formed there alone, and product_defect is exactly +0.0 elsewhere.
+    Every Toeplitz compression is zero off the Hardy quadrant, so both
+    defects are formed on it alone and are exactly +0.0 elsewhere.
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
     q = slice(-w.lo, None)  # the Hardy modes, the range of P
-    ta = toeplitz_compress(a, w).entries
-    tb = toeplitz_compress(b, w).entries
-    tab = toeplitz_compress(symbol_product(a, b), w).entries
-    tconj = toeplitz_compress(symbol_conjugate(a), w).entries
-    tab[q, q] -= ta[q, q] @ tb[q, q]
-    product = WindowedOperator(w, tab)
-    adjoint = WindowedOperator(w, tconj - ta.conj().T)
-    return product, adjoint
+    ta = multiplication_operator(a, w).entries[q, q]
+    tb = multiplication_operator(b, w).entries[q, q]
+    tab = multiplication_operator(symbol_product(a, b), w).entries[q, q]
+    tconj = multiplication_operator(symbol_conjugate(a), w).entries[q, q]
+    product = np.zeros((w.dimension, w.dimension), dtype=complex)
+    adjoint = np.zeros_like(product)
+    np.subtract(tab, ta @ tb, out=product[q, q])
+    np.subtract(tconj, ta.conj().T, out=adjoint[q, q])
+    return WindowedOperator(w, product), WindowedOperator(w, adjoint)
 
 
 def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:

@@ -11,6 +11,7 @@ Omega completes the isometry W by a complete QR factorization of W.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ class CpMap:
         if len(shape) != 2 or any(k.shape != shape for k in ks):
             raise ValueError("all Kraus operators must share one m x n shape")
         object.__setattr__(self, "kraus", ks)
-        if np.max(np.linalg.eigvalsh(self.unit_image())) > 1.0 + TOLERANCES["contraction"]:
+        if np.max(np.linalg.eigvalsh(self.unit_image)) > 1.0 + TOLERANCES["contraction"]:
             raise ValueError("Kraus family is not a contraction")
 
     @property
@@ -52,8 +53,9 @@ class CpMap:
             raise ValueError(f"expected {self.n}x{self.n} input, got {a.shape}")
         return sum(k @ a @ k.conj().T for k in self.kraus)
 
+    @cached_property
     def unit_image(self) -> np.ndarray:
-        """kappa(1) = sum K_i K_i^*."""
+        """kappa(1) = sum K_i K_i^*, formed once per map."""
         return sum(k @ k.conj().T for k in self.kraus)
 
 
@@ -114,7 +116,7 @@ def dilation_build(cp: CpMap) -> DilationData:
     is unitary.  Raises RuntimeError when a check of the construction fails.
     """
     n, m, r = cp.n, cp.m, cp.r
-    defect = np.eye(m) - cp.unit_image()
+    defect = np.eye(m) - cp.unit_image
     evals, evecs = np.linalg.eigh(defect)
     if np.min(evals) < -TOLERANCES["contraction"]:
         raise RuntimeError(f"contraction violated: defect eigenvalue {np.min(evals):.3e}")

@@ -35,7 +35,7 @@ def rep_relative_error(d, a):
 
 def stacked_isometry(cp):
     """W: the adjoint Kraus operators stacked over the Kraus index, then (1 - kappa(1))^(1/2)."""
-    evals, evecs = np.linalg.eigh(np.eye(cp.m) - cp.unit_image())
+    evals, evecs = np.linalg.eigh(np.eye(cp.m) - cp.unit_image)
     evals = np.where(evals < 1e-14, 0.0, evals)
     root = (evecs * np.sqrt(evals)) @ evecs.conj().T
     return np.vstack([k.conj().T for k in cp.kraus] + [root])
@@ -62,7 +62,7 @@ class TestCpMap:
     def test_contraction_by_construction(self):
         for seed in range(5):
             cp = random_cp_contraction(3, 5, 2, seed=seed)
-            top = cp.unit_image()
+            top = cp.unit_image
             assert np.max(np.linalg.eigvalsh(top)) <= 1.0 + 1e-12
 
     def test_deterministic_in_seed(self):
