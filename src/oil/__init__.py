@@ -6,6 +6,7 @@ from .hardy import (
     Symbol,
     Window,
     WindowedOperator,
+    complement_compression,
     guard_slice,
     hankel_operator,
     hardy_projection,
@@ -38,7 +39,6 @@ from .stinespring import (
 )
 from .extensions import (
     IsometryPair,
-    complement_compression,
     extension_sum,
     interleaving_isometries,
     inverse_identity_residuals,

@@ -1,13 +1,14 @@
 """Command-line driver: one subcommand per experiment family.
 
 Exit status: 0 when every checked tolerance holds, 1 when an assertion
-fails, an internal check of a construction fails or a report cannot be
-written, 2 on usage errors.
+fails, an internal check of a construction fails, memory runs out or a
+report cannot be written, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -37,8 +38,8 @@ def _cmd_defect(args):
     product, adjoint = hardy.splitting_defect(a, b, w)
     sl = hardy.guard_slice(w, 2, a.bandwidth + b.bandwidth)
     # both defects are exactly zero off the Hardy quadrant, so every norm is taken on it
-    q, n = slice(-w.lo, None), slice(0, -w.lo)  # the Hardy modes and the negative modes
-    v = slice(max(sl.start + w.lo, 0), max(sl.stop + w.lo, 0))  # sl within q, in q's indices
+    q, n = w.hardy, w.negative
+    v = slice(max(sl.start - q.start, 0), max(sl.stop - q.start, 0))  # sl within q, in q's indices
     ma = hardy.multiplication_operator(a, w).entries
     mb = hardy.multiplication_operator(b, w).entries
     # P M_a (1-P) M_b P: the product of the two Hankel blocks
@@ -218,24 +219,7 @@ def _cmd_sweep(args):
     rep = deformation.epsilon_sweep(
         args.p, grid, args.family, args.max_index, with_lemma=args.with_lemma, seed=args.seed
     )
-    results = {
-        "family": rep.family,
-        "N_max": rep.N_max,
-        "exponent_note": rep.exponent_note,
-        "points": [
-            {
-                "eps": pt.eps,
-                "measured_exponent": pt.measured_exponent,
-                "verdict_p": pt.verdict_p,
-                "verdict_2p": pt.verdict_2p,
-                "doubling_ratio_p": pt.doubling_ratio_p,
-                "lemma_min_gap": pt.lemma_min_gap,
-            }
-            for pt in rep.points
-        ],
-        "pair_separations": list(rep.pair_separations),
-    }
-    return True, results, {}
+    return True, dataclasses.asdict(rep), {}
 
 
 def _count(text: str, least: int = 1) -> int:
@@ -363,6 +347,9 @@ def dispatch(args) -> int:
         return 2
     except OSError as exc:  # symbol files are read as UsageError, so this is the CSV export
         print(f"oil: cannot write spectrum: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"oil: out of memory: {exc}", file=sys.stderr)
         return 1
     params = {
         k: v

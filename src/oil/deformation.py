@@ -22,7 +22,6 @@ from .hardy import (
     Symbol,
     Window,
     WindowedOperator,
-    _hardy_diagonal,
     _opnorm,
     guard_slice,
     multiplication_operator,
@@ -110,9 +109,9 @@ def _p_plus_t(T: WindowedOperator, w: Window) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("deformation diagonal does not cover the window's Hardy modes")
     if not T.window.is_hardy:
         raise ValueError("deformation must live on a Hardy-only window")
-    p = _hardy_diagonal(w)
-    t = np.zeros(w.dimension, dtype=complex)
-    t[-w.lo :] = T.entries.diagonal()[: w.hi + 1]
+    p, t = np.zeros((2, w.dimension), dtype=complex)
+    p[w.hardy] = 1.0
+    t[w.hardy] = T.entries.diagonal()[: w.hi + 1]
     return p, p + t
 
 

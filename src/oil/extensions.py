@@ -19,8 +19,6 @@ from .hardy import (
     Symbol,
     Window,
     WindowedOperator,
-    _quadrants,
-    _require_two_sided,
     guard_slice,
     multiplication_operator,
     projection_commutator,
@@ -68,13 +66,6 @@ def extension_sum(A: WindowedOperator, B: WindowedOperator) -> WindowedOperator:
     return WindowedOperator(Window(0, 2 * n - 1), out)
 
 
-def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
-    """Compression (1-P) M_a (1-P) to the strictly negative modes."""
-    _require_two_sided(w, "complement_compression")
-    m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "--"))
-
-
 def _doubled_window(w: Window) -> tuple[np.ndarray, np.ndarray]:
     """U = [[P, 1-P], [1-P, P]] as an involution sigma of indices, and P2 = P + (1-P) as a mask."""
     d = w.dimension
@@ -90,7 +81,10 @@ def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, floa
     U P2 U is the mask p2[sigma].  Returns the numbers of indices at which
     U^2 = 1 and U P2 U = 1 + 0 fail, and the number of guard-valid entries
     (depth 3) of both copies at which (M_a + 0) = U P2 U (M_a + M_a) U P2 U
-    fails.  All three are exact: 0.0 when the identity holds.
+    fails.  All three are exact: 0.0 when the identity holds.  Both sides
+    are block diagonal, so the last count is taken on the two diagonal
+    blocks: M_a = c1 M_a c1 and 0 = c2 M_a c2, with c1 and c2 the mask
+    U P2 U on the guard rows of each copy.
     """
     sl = guard_slice(w, 3, a.bandwidth)
     d = w.dimension
@@ -101,13 +95,9 @@ def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, floa
     r_p = float(np.count_nonzero(upu != (i < d)))
 
     block = multiplication_operator(a, w).entries[sl, sl]
-    g = len(block)
-    m2 = np.zeros((2 * g, 2 * g), dtype=complex)  # M_a + M_a on the guard rows
-    m2[:g, :g] = m2[g:, g:] = block
-    m_corner = np.zeros_like(m2)  # M_a + 0
-    m_corner[:g, :g] = block
-    c = upu[np.r_[i[sl], d + i[sl]]]
-    return r_u, r_p, float(np.count_nonzero(m_corner != c[:, None] * m2 * c))
+    c1, c2 = upu[:d][sl], upu[d:][sl]
+    r_id = np.count_nonzero(block != c1[:, None] * block * c1) + np.count_nonzero(c2[:, None] * block * c2)
+    return r_u, r_p, float(r_id)
 
 
 def toeplitz_invertibility_report(

@@ -9,6 +9,7 @@ guard-valid entries.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +54,15 @@ class Symbol:
 
 
 def make_symbol(pairs) -> Symbol:
-    """Build a Symbol from (degree, amplitude) pairs; degrees must be distinct."""
+    """Build a Symbol from (degree, amplitude) pairs; degrees must be distinct, amplitudes finite."""
     seen: dict[int, complex] = {}
     for deg, amp in pairs:
         deg = int(deg)
         if deg in seen:
             raise ValueError(f"duplicate degree {deg}")
         seen[deg] = complex(amp)
+        if not cmath.isfinite(seen[deg]):
+            raise ValueError(f"non-finite amplitude {seen[deg]} at degree {deg}")
     kept = tuple(sorted((d, a) for d, a in seen.items() if a != 0))
     return Symbol(kept)
 
@@ -100,6 +103,16 @@ class Window:
     @property
     def is_hardy(self) -> bool:
         return self.lo == 0
+
+    @property
+    def hardy(self) -> slice:
+        """Matrix indices of the Hardy modes (>= 0), the range of P."""
+        return slice(-self.lo, None)
+
+    @property
+    def negative(self) -> slice:
+        """Matrix indices of the strictly negative modes, the range of 1 - P."""
+        return slice(0, -self.lo)
 
 
 @dataclass(frozen=True)
@@ -149,34 +162,24 @@ def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
     return WindowedOperator(w, sliding_window_view(c, d)[::-1])  # read-only; row j starts at c[d-1-j]
 
 
-def _quadrants(x: np.ndarray, w: Window, *keep: str) -> np.ndarray:
-    """Copy of a window matrix, zero outside the kept quadrants of the split at mode 0.
-
-    A quadrant is named by its row side, then its column side: "+" for the
-    Hardy modes (the range of P), "-" for the negative modes.  P x P keeps
-    "++", (1-P) x P keeps "-+", and x P keeps "++" and "-+".
-    """
-    sides = {"-": slice(0, -w.lo), "+": slice(-w.lo, None)}
+def _block(x: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
+    """Copy of a window matrix, zero outside the block x[rows, cols]."""
     out = np.zeros_like(x)
-    for rows, cols in keep:
-        out[sides[rows], sides[cols]] = x[sides[rows], sides[cols]]
+    out[rows, cols] = x[rows, cols]
     return out
-
-
-def _hardy_diagonal(w: Window) -> np.ndarray:
-    """Diagonal of P: one at the nonnegative Fourier modes of the window, else zero."""
-    return (w.modes >= 0).astype(complex)
 
 
 def hardy_projection(w: Window) -> WindowedOperator:
     """Diagonal projection onto the nonnegative Fourier modes of the window."""
-    return WindowedOperator(w, np.diag(_hardy_diagonal(w)))
+    p = np.zeros((w.dimension, w.dimension), dtype=complex)
+    np.fill_diagonal(p[w.hardy, w.hardy], 1.0)
+    return WindowedOperator(w, p)
 
 
 def toeplitz_compress(a: Symbol, w: Window) -> WindowedOperator:
     """Toeplitz compression P M_a P on the window."""
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "++"))
+    return WindowedOperator(w, _block(m, w.hardy, w.hardy))
 
 
 def _require_two_sided(w: Window, what: str):
@@ -188,15 +191,22 @@ def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Hankel part (1-P) M_a P; the range lives on negative modes."""
     _require_two_sided(w, "hankel_operator")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _quadrants(m, w, "-+"))
+    return WindowedOperator(w, _block(m, w.negative, w.hardy))
+
+
+def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
+    """Compression (1-P) M_a (1-P) to the strictly negative modes."""
+    _require_two_sided(w, "complement_compression")
+    m = multiplication_operator(a, w).entries
+    return WindowedOperator(w, _block(m, w.negative, w.negative))
 
 
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     """Commutator [P, M_a] on the window."""
     _require_two_sided(w, "projection_commutator")
     m = multiplication_operator(a, w).entries
-    comm = _quadrants(m, w, "+-")  # P M_a (1-P) - (1-P) M_a P; 0.0 - x, not -x, keeps zeros +0.0
-    np.subtract(0.0, m[: -w.lo, -w.lo :], out=comm[: -w.lo, -w.lo :])
+    comm = _block(m, w.hardy, w.negative)  # P M_a (1-P) - (1-P) M_a P; 0.0 - x, not -x, keeps zeros +0.0
+    np.subtract(0.0, m[w.negative, w.hardy], out=comm[w.negative, w.hardy])
     return WindowedOperator(w, comm)
 
 
@@ -212,7 +222,7 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
-    q = slice(-w.lo, None)  # the Hardy modes, the range of P
+    q = w.hardy
     ta = multiplication_operator(a, w).entries[q, q]
     tb = multiplication_operator(b, w).entries[q, q]
     tab = multiplication_operator(symbol_product(a, b), w).entries[q, q]
@@ -237,17 +247,15 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
     """Singular values of x, descending, padded with exact zeros to min(x.shape).
 
     The nonzero singular values of a matrix are those of the block of its
-    nonzero rows and columns, so only that block goes to the SVD; a matrix
-    with no zero row or column goes to the SVD as it is, uncopied.
+    nonzero rows and columns, so only that block goes to the SVD.  The
+    block is a copy, and + 0.0 turns its -0.0 entries into +0.0, since the
+    SVD reads zero signs.
     """
     nonzero = x != 0
-    rows, cols = nonzero.any(axis=1), nonzero.any(axis=0)
-    if rows.all() and cols.all():
-        return np.linalg.svd(x, compute_uv=False)
+    block = x[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
+    block += 0.0
     s = np.zeros(min(x.shape))
-    if rows.any():
-        block = np.linalg.svd(x[np.ix_(rows, cols)], compute_uv=False)
-        s[: block.size] = block
+    s[: min(block.shape)] = np.linalg.svd(block, compute_uv=False)
     return s
 
 

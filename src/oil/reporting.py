@@ -8,7 +8,6 @@ import numpy as np
 
 from . import __version__ as TOOL_VERSION
 from .hardy import Symbol, make_symbol
-from .spectral import SummabilityVerdict
 
 
 class UsageError(ValueError):
@@ -27,8 +26,6 @@ def _plain(obj):
         obj = obj.item()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, SummabilityVerdict):
-        return {"verdict": obj.verdict, "evidence": _plain(obj.evidence)}
     if isinstance(obj, float) and not np.isfinite(obj):  # not valid JSON
         return repr(obj)  # "nan", "inf" or "-inf"
     return obj

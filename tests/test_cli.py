@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from oil import Window, multiplication_operator, numerical_rank, stinespring
+from oil import Window, deformation, multiplication_operator, numerical_rank, stinespring
 from oil.cli import main
 from oil.reporting import UsageError, build_report, load_symbol_file, write_report
 
@@ -282,6 +282,27 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("oil: internal check failed: SVD did not converge")
         assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_symbol_product_is_usage_error(self, tmp_path, capsys):
+        sym = tmp_path / "huge.json"
+        sym.write_text("[[1, 1e200, 0], [-1, 1e200, 0]]")
+        out = tmp_path / "r.json"
+        assert main(["defect", "--symbol-a", str(sym), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oil: non-finite amplitude (inf+0j) at degree -2")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_out_of_memory_is_reported_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the lambda sequence")
+
+        monkeypatch.setattr(deformation, "lambda_sequence", exhausted)
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--out", str(out)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "oil: out of memory: cannot allocate the lambda sequence\n"
+        assert captured.out == "" and not out.exists()
 
     def test_inverse_check_default_symbol(self):
         assert main(["inverse-check"]) == 0

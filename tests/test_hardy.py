@@ -57,6 +57,16 @@ class TestSymbol:
         with pytest.raises(ValueError, match="duplicate degree 1"):
             make_symbol([(1, 1.0), (1, 2.0)])
 
+    @pytest.mark.parametrize("amp", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1.0)])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(ValueError, match="^non-finite amplitude .* at degree 2$"):
+            make_symbol([(0, 1.0), (2, amp)])
+
+    def test_overflowing_product_rejected(self):
+        big = make_symbol([(1, 1e200), (-1, 1e200)])  # every coefficient of big * big overflows
+        with pytest.raises(ValueError, match=r"^non-finite amplitude \(inf\+0j\) at degree -2$"):
+            symbol_product(big, big)
+
     def test_product_monomials(self):
         assert symbol_product(Z, Z).coefficients == ((2, 1.0 + 0j),)
 
