@@ -9,37 +9,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 import numpy as np
 
 from . import deformation, extensions, hardy, spectral, stinespring
 from .hardy import TOLERANCES as TOL
-from .reporting import UsageError, build_report, load_symbol_file, write_report
-
-DEFAULT_SEED = 42
-
-
-def _seed_default() -> int:
-    env = os.environ.get("OIL_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return _seed(env)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"OIL_SEED: {exc}") from exc
+from .reporting import build_report, load_symbol_file, write_report
 
 
 def _cmd_defect(args):
     a = load_symbol_file(args.symbol_a)
     b = load_symbol_file(args.symbol_b) if args.symbol_b else a
     w = hardy.Window(args.lo, args.hi)
-    product, adjoint = hardy.splitting_defect(a, b, w)
     sl = hardy.guard_slice(w, 2, a.bandwidth + b.bandwidth)
     # both defects are exactly zero off the Hardy quadrant, so every norm is taken on it
     q, n = w.hardy, w.negative
     v = slice(max(sl.start - q.start, 0), max(sl.stop - q.start, 0))  # sl within q, in q's indices
+    if v.start >= v.stop:  # the guard band ends below mode 0, so the residuals would compare nothing
+        raise hardy.GuardBandError(
+            f"window [{w.lo},{w.hi}] has no guard-valid Hardy mode: need hi >= {sl.start}"
+        )
+    product, adjoint = hardy.splitting_defect(a, b, w)
     ma = hardy.multiplication_operator(a, w).entries
     mb = hardy.multiplication_operator(b, w).entries
     # P M_a (1-P) M_b P: the product of the two Hankel blocks
@@ -210,20 +201,16 @@ def _cmd_lemma(args):
 
 
 def _cmd_sweep(args):
-    if args.steps < 2:
-        raise UsageError("need at least 2 sweep steps")
     grid = [
         args.eps_min + i * (args.eps_max - args.eps_min) / (args.steps - 1)
         for i in range(args.steps)
     ]
-    rep = deformation.epsilon_sweep(
-        args.p, grid, args.family, args.max_index, with_lemma=args.with_lemma, seed=args.seed
-    )
+    rep = deformation.epsilon_sweep(args.p, grid, args.family, args.max_index)
     return True, dataclasses.asdict(rep), {}
 
 
 def _count(text: str, least: int = 1) -> int:
-    """argparse type of the counts and sizes: an integer >= least (1; the seed's is 0)."""
+    """argparse type of the counts, sizes, seed and steps: an integer >= least."""
     try:
         value = int(text)
     except ValueError:
@@ -234,8 +221,13 @@ def _count(text: str, least: int = 1) -> int:
 
 
 def _seed(text: str) -> int:
-    """argparse type of --seed, and the reader of OIL_SEED: an integer >= 0."""
+    """argparse type of --seed: an integer >= 0."""
     return _count(text, least=0)
+
+
+def _steps(text: str) -> int:
+    """argparse type of --steps: an integer >= 2, the two ends of the grid."""
+    return _count(text, least=2)
 
 
 _FAMILY_ALIASES = {
@@ -246,123 +238,100 @@ _FAMILY_ALIASES = {
 }
 
 
+def _family(text: str) -> str:
+    """argparse type of --family: a lambda family's name or alias, read as its name."""
+    if text not in _FAMILY_ALIASES:
+        raise argparse.ArgumentTypeError(f"unknown family {text!r}")
+    return _FAMILY_ALIASES[text]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oil", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary, formats=("json",)):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="report output path")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=_seed, default=None)
+        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--seed", type=_seed, default=42)
+        return p
 
-    p = sub.add_parser("defect", help="Toeplitz splitting defects of two symbols")
+    p = command("defect", _cmd_defect, "Toeplitz splitting defects of two symbols")
     p.add_argument("--symbol-a", required=True)
     p.add_argument("--symbol-b", default=None)
     p.add_argument("--lo", type=int, default=-40)
     p.add_argument("--hi", type=int, default=40)
-    common(p)
 
-    p = sub.add_parser("spectrum", help="singular values of a windowed operator")
+    p = command("spectrum", _cmd_spectrum, "singular values of a windowed operator", ("json", "csv"))
     p.add_argument("--symbol", required=True)
     p.add_argument("--op", choices=["toeplitz", "hankel", "commutator", "mult"], default="commutator")
     p.add_argument("--lo", type=int, default=-40)
     p.add_argument("--hi", type=int, default=40)
-    common(p)
 
-    p = sub.add_parser("stinespring-check", help="dilation block identities on random cp maps")
+    p = command("stinespring-check", _cmd_stinespring, "dilation block identities on random cp maps")
     p.add_argument("--n", type=_count, default=4)
     p.add_argument("--m", type=_count, default=4)
     p.add_argument("--r", type=_count, default=3)
     p.add_argument("--maps", type=_count, default=20)
     p.add_argument("--pairs", type=_count, default=20)
-    common(p)
 
-    p = sub.add_parser("sum-demo", help="interleaved extension sum on random pairs")
+    p = command("sum-demo", _cmd_sum_demo, "interleaved extension sum on random pairs")
     p.add_argument("--size", type=_count, default=32)
     p.add_argument("--trials", type=_count, default=50)
-    common(p)
 
-    p = sub.add_parser("inverse-check", help="doubled-window inverse identity")
+    p = command("inverse-check", _cmd_inverse, "doubled-window inverse identity")
     p.add_argument("--symbol", default=None)
     p.add_argument("--lo", type=int, default=-12)
     p.add_argument("--hi", type=int, default=60)
-    common(p)
 
-    p = sub.add_parser("deformation-check", help="quadratic identity and defect expansion")
+    p = command("deformation-check", _cmd_deformation, "quadratic identity and defect expansion")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--modes", type=_count, default=256)
-    p.add_argument("--family", default="paper")
-    common(p)
+    p.add_argument("--family", type=_family, default="paper")
 
-    p = sub.add_parser("lemma-check", help="unitary-quantified lower bound for a(z)=z")
+    p = command("lemma-check", _cmd_lemma, "unitary-quantified lower bound for a(z)=z")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--modes", type=_count, default=128)
     p.add_argument("--ambient", type=_count, default=None)
     p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--family", default="paper")
-    common(p)
+    p.add_argument("--family", type=_family, default="paper")
 
-    p = sub.add_parser("sweep", help="epsilon sweep with summability verdicts")
+    p = command("sweep", _cmd_sweep, "epsilon sweep with summability verdicts")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--family", default="power")
+    p.add_argument("--steps", type=_steps, default=8)
+    p.add_argument("--family", type=_family, default="power")
     p.add_argument("--max-index", type=int, default=65536)
-    p.add_argument("--with-lemma", action="store_true")
-    common(p)
 
     return parser
 
 
-_HANDLERS = {
-    "defect": _cmd_defect,
-    "spectrum": _cmd_spectrum,
-    "stinespring-check": _cmd_stinespring,
-    "sum-demo": _cmd_sum_demo,
-    "inverse-check": _cmd_inverse,
-    "deformation-check": _cmd_deformation,
-    "lemma-check": _cmd_lemma,
-    "sweep": _cmd_sweep,
-}
-
-
 def dispatch(args) -> int:
     try:
-        if args.seed is None:
-            args.seed = _seed_default()
-        if hasattr(args, "family"):
-            if args.family not in _FAMILY_ALIASES:
-                raise UsageError(f"unknown family {args.family!r}")
-            args.family = _FAMILY_ALIASES[args.family]
-        if args.format == "csv" and args.command != "spectrum":
-            raise UsageError("--format csv applies only to spectrum")
-        passed, results, residuals = _HANDLERS[args.command](args)
+        passed, results, residuals = args.handler(args)
+        if args.out and args.format == "json":
+            params = {
+                k: v
+                for k, v in vars(args).items()
+                if k not in ("command", "handler", "out", "seed") and v is not None
+            }
+            report = build_report(args.command, params, args.seed, results, residuals, passed)
+            write_report(report, args.out)
     except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"oil: internal check failed: {exc}", file=sys.stderr)
         return 1
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # reporting.UsageError among them
         print(f"oil: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # symbol files are read as UsageError, so this is the CSV export
-        print(f"oil: cannot write spectrum: {exc}", file=sys.stderr)
+    except OSError as exc:  # symbol files are read as UsageError, so this is the CSV or JSON output
+        print(f"oil: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"oil: out of memory: {exc}", file=sys.stderr)
         return 1
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "out", "seed") and v is not None
-    }
-    report = build_report(args.command, params, args.seed, results, residuals, passed)
-    if args.out and args.format == "json":
-        try:
-            write_report(report, args.out)
-        except OSError as exc:
-            print(f"oil: cannot write report: {exc}", file=sys.stderr)
-            return 1
     status = "PASS" if passed else "FAIL"
     print(f"{args.command}: {status}")
     return 0 if passed else 1

@@ -240,7 +240,6 @@ class SweepPoint:
     verdict_p: SummabilityVerdict
     verdict_2p: SummabilityVerdict
     doubling_ratio_p: float
-    lemma_min_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -254,14 +253,7 @@ class SweepReport:
     exponent_note: str = ""
 
 
-def epsilon_sweep(
-    p: float,
-    grid,
-    family: str,
-    N_max: int,
-    with_lemma: bool = False,
-    seed: int = 42,
-) -> SweepReport:
+def epsilon_sweep(p: float, grid, family: str, N_max: int) -> SweepReport:
     """Sweep the deformation order and classify each point at p and 2p.
 
     Each point's measured_exponent is one least-squares power-law fit of
@@ -281,17 +273,11 @@ def epsilon_sweep(
         raise ValueError("N_max must be a power of two >= 32")
 
     points = []
-    for i, eps in enumerate(grid):
+    for eps in grid:
         lam = lambda_sequence(eps, family, N_max)
         verdict_p = summability_classify(lam, IdealSpec.schatten(p), N_max)
         verdict_2p = summability_classify(lam, IdealSpec.schatten(2.0 * p), N_max)
         sums = verdict_p.evidence["partial_sums"]  # at N_max/4, N_max/2, N_max
-        lemma_gap = None
-        if with_lemma:
-            params = DeformationParams(
-                eps=eps, p=p, family=family, N=16, M=18, seed=seed ^ i
-            )
-            lemma_gap = lemma_lower_bound_report(params, trials=2).min_gap
         points.append(
             SweepPoint(
                 eps=eps,
@@ -299,7 +285,6 @@ def epsilon_sweep(
                 verdict_p=verdict_p,
                 verdict_2p=verdict_2p,
                 doubling_ratio_p=sums[2] / sums[1],
-                lemma_min_gap=lemma_gap,
             )
         )
 

@@ -54,9 +54,11 @@ class Symbol:
 
 
 def make_symbol(pairs) -> Symbol:
-    """Build a Symbol from (degree, amplitude) pairs; degrees must be distinct, amplitudes finite."""
+    """Build a Symbol from (degree, amplitude) pairs; degrees must be distinct integers, amplitudes finite."""
     seen: dict[int, complex] = {}
     for deg, amp in pairs:
+        if not (isinstance(deg, int) or float(deg).is_integer()):  # False for nan and +-inf too
+            raise ValueError(f"degree {deg} is not an integer")
         deg = int(deg)
         if deg in seen:
             raise ValueError(f"duplicate degree {deg}")

@@ -34,10 +34,10 @@ def _plain(obj):
 def build_report(command: str, params: dict, seed: int, results: dict, residuals: dict, passed: bool) -> dict:
     return {
         "command": command,
-        "params": _plain(params),
+        "params": params,
         "seed": seed,
-        "results": _plain(results),
-        "residuals": _plain(residuals),
+        "results": results,
+        "residuals": residuals,
         "pass": bool(passed),
         "tool_version": TOOL_VERSION,
     }

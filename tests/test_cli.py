@@ -1,6 +1,7 @@
 """Tests for the command-line driver: dispatch, reports, and exit codes."""
 
 import json
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -162,6 +163,9 @@ class TestDispatch:
         ["stinespring-check", "--n", "0"],
         ["stinespring-check", "--m", "0"],
         ["stinespring-check", "--r", "x"],
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "1"],
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--family", "bogus"],
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--with-lemma"],
     ])
     def test_bad_numbers_and_zero_counts_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -169,6 +173,8 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "oil" in captured.err and "Traceback" not in captured.err
+        names = [word.lstrip("-") for word in argv if word.startswith("--")]
+        assert any(re.search(rf"\b{re.escape(name)}\b", captured.err) for name in names)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -178,14 +184,11 @@ class TestDispatch:
         ["sum-demo", "--size", "4", "--trials", "1"],
         ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"],
     ])
-    def test_negative_seed_is_usage_error_naming_it(self, argv, monkeypatch, capsys):
+    def test_negative_seed_is_usage_error_naming_it(self, argv, capsys):
         assert main(argv + ["--seed", "-1"]) == 2
-        assert "--seed" in capsys.readouterr().err
-        monkeypatch.setenv("OIL_SEED", "-2")
-        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "OIL_SEED" in err and "Traceback" not in err
-        assert main(argv + ["--seed", "0"]) == 0  # the flag is read before the variable
+        assert "--seed" in err and "Traceback" not in err
+        assert main(argv + ["--seed", "0"]) == 0
 
     def test_determinism(self, tmp_path):
         args = [
@@ -197,12 +200,11 @@ class TestDispatch:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("OIL_SEED", "7")
+    def test_seed_flag_is_reported(self, tmp_path):
         out = tmp_path / "r.json"
         code = main([
             "lemma-check", "--p", "2", "--eps", "0.4", "--modes", "16",
-            "--trials", "2", "--out", str(out),
+            "--trials", "2", "--seed", "7", "--out", str(out),
         ])
         assert code == 0
         assert json.loads(out.read_text())["seed"] == 7
@@ -261,7 +263,23 @@ class TestDispatch:
         out = tmp_path / "missing_dir" / "x.csv"
         argv = ["spectrum", "--symbol", symbol_file, "--format", "csv", "--out", str(out)]
         assert main(argv) == 1
-        assert capsys.readouterr().err.startswith("oil: cannot write")
+        assert capsys.readouterr().err.startswith(f"oil: cannot write {out}: ")
+
+    def test_json_write_failure(self, symbol_file, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(["spectrum", "--symbol", symbol_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"oil: cannot write {out}: ") and captured.out == ""
+
+    def test_defect_without_guard_valid_hardy_mode_is_usage_error(self, tmp_path, capsys):
+        z, zbar, out = tmp_path / "z.json", tmp_path / "zbar.json", tmp_path / "r.json"
+        z.write_text("[[1, 1, 0]]")
+        zbar.write_text("[[-1, 1, 0]]")
+        argv = ["defect", "--symbol-a", str(z), "--symbol-b", str(zbar), "--lo", "-100", "--hi", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "oil: window [-100,2] has no guard-valid Hardy mode: need hi >= 4\n"
+        assert captured.out == "" and not out.exists()
 
     def test_broken_dilation_postcondition_is_internal_failure(self, tmp_path, monkeypatch, capsys):
         apply = stinespring.CpMap.apply

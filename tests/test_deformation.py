@@ -298,10 +298,6 @@ class TestEpsilonSweep:
         assert sep["eps"] == 0.3 and sep["eps_shifted"] == 0.8
         assert sep["distinct_classes"] is True
 
-    def test_with_lemma_gap(self):
-        rep = epsilon_sweep(2.0, [0.4, 0.9], "pure_power", 2**10, with_lemma=True)
-        assert all(pt.lemma_min_gap is not None and pt.lemma_min_gap >= -1e-9 for pt in rep.points)
-
     @pytest.mark.parametrize("family", ["pure_power", "paper_formula"])
     @pytest.mark.parametrize("n_max", [32, 2**12])
     def test_one_fit_per_point(self, family, n_max, monkeypatch):

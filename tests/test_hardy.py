@@ -62,6 +62,14 @@ class TestSymbol:
         with pytest.raises(ValueError, match="^non-finite amplitude .* at degree 2$"):
             make_symbol([(0, 1.0), (2, amp)])
 
+    @pytest.mark.parametrize("deg", [1.5, np.float64(-0.5), np.nan, np.inf, -np.inf])
+    def test_non_integral_degree_rejected(self, deg):
+        with pytest.raises(ValueError, match=f"^degree {deg} is not an integer$"):
+            make_symbol([(1.0, 1.0), (deg, 2.0)])
+
+    def test_integral_float_degrees_accepted(self):
+        assert make_symbol([(2.0, 1.0), (np.float64(-1.0), 2.0)]).coefficients == ((-1, 2.0), (2, 1.0))
+
     def test_overflowing_product_rejected(self):
         big = make_symbol([(1, 1e200), (-1, 1e200)])  # every coefficient of big * big overflows
         with pytest.raises(ValueError, match=r"^non-finite amplitude \(inf\+0j\) at degree -2$"):

@@ -3,11 +3,17 @@
 CI runs every invocation the README shows, on the symbol files the README
 describes; both lists are edited by hand, so this test parses them and
 asserts the same commands, in order, and the same symbol-file contents.
+The README also names every option of every subcommand.
 """
 
+import argparse
 import json
 import re
 from pathlib import Path
+
+import pytest
+
+from oil.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -46,3 +52,24 @@ def test_same_symbol_files():
         # the README names each file in backquotes, then gives its triples in the next [[...]]
         after = README[README.index(f"`{name}`"):]
         assert json.loads(re.search(r"`(\[\[.*?\]\])`", after, re.S).group(1)) == rows, name
+
+
+def subcommands() -> dict:
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+@pytest.mark.parametrize("name", sorted(subcommands()))
+def test_every_option_is_documented(name, capsys):
+    options = [
+        opt
+        for action in subcommands()[name]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+    ]
+    assert options
+    undocumented = [opt for opt in options if not re.search(rf"{re.escape(opt)}(?![\w-])", README)]
+    assert undocumented == [], name
+    assert main([name, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: oil {name}")

@@ -187,30 +187,36 @@ def dense_defect_results(a, b, w):
 
 
 # windows by their guard width g = 2 (bw_a + bw_b): symmetric, the edge lo = -1,
-# -lo below and above g, hi + 1 below and at g (no or one guard-valid Hardy
-# mode), and the shortest window the guard allows
+# -lo below and above g, hi + 1 at g + 1 (one guard-valid Hardy mode), and the
+# shortest window the guard allows
 GUARDED_WINDOWS = {
     "symmetric": lambda g: (-3 * g, 3 * g),
     "lo=-1": lambda g: (-1, 3 * g),
     "-lo<g": lambda g: (-(g // 2), 3 * g),
     "-lo>g": lambda g: (-2 * g, 3 * g),
-    "hi+1<g": lambda g: (-3 * g, g - 2),
     "hi+1=g+1": lambda g: (-3 * g, g),
     "shortest": lambda g: (-1, 2 * g - 1),
 }
+BANDWIDTHS = [(1, 1), (5, 3), (16, 16)]
+
+
+def defect_argv(a, b, lo, hi, tmp_path):
+    """`oil defect` on a and b, written as symbol files, with its report at tmp_path/defect.json."""
+    path_a, path_b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "defect.json"
+    for path, sym in ((path_a, a), (path_b, b)):
+        path.write_text(json.dumps([[k, c.real, c.imag] for k, c in sym.coefficients]))
+    return ["defect", "--symbol-a", str(path_a), "--symbol-b", str(path_b),
+            "--lo", str(lo), "--hi", str(hi), "--out", str(out)]
 
 
 class TestDefectCommand:
     @pytest.mark.parametrize("window", sorted(GUARDED_WINDOWS))
-    @pytest.mark.parametrize("bw_a, bw_b", [(1, 1), (5, 3), (16, 16)])
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
     def test_matches_dense_widom_form(self, bw_a, bw_b, window, tmp_path, svd_calls):
         lo, hi = GUARDED_WINDOWS[window](2 * (bw_a + bw_b))
         a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
-        path_a, path_b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "defect.json"
-        for path, sym in ((path_a, a), (path_b, b)):
-            path.write_text(json.dumps([[k, c.real, c.imag] for k, c in sym.coefficients]))
-        argv = ["defect", "--symbol-a", str(path_a), "--symbol-b", str(path_b)]
-        assert main(argv + ["--lo", str(lo), "--hi", str(hi), "--out", str(out)]) == 0
+        out = tmp_path / "defect.json"
+        assert main(defect_argv(a, b, lo, hi, tmp_path)) == 0
         shapes = [x.shape for x in svd_calls]
         assert len(shapes) == 3 and all(max(shape) <= hi + 1 for shape in shapes)
 
@@ -220,3 +226,14 @@ class TestDefectCommand:
         assert abs(got - norm) <= TOLERANCES["identity"] * norm
         assert abs(report["residuals"]["hankel_product"] - r_hankel) <= TOLERANCES["identity"]
         assert abs(report["residuals"]["adjoint_defect"] - r_adjoint) <= TOLERANCES["identity"]
+
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
+    def test_no_guard_valid_hardy_mode_is_usage_error(self, bw_a, bw_b, tmp_path, capsys):
+        """hi + 1 < g leaves the guard band below mode 0, where both residuals would compare nothing."""
+        g = 2 * (bw_a + bw_b)
+        lo, hi = -3 * g, g - 2
+        a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
+        assert main(defect_argv(a, b, lo, hi, tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"oil: window [{lo},{hi}] has no guard-valid Hardy mode: need hi >= {g}\n"
+        assert captured.out == "" and not (tmp_path / "defect.json").exists()
