@@ -13,9 +13,14 @@ import sys
 
 import numpy as np
 
-from . import deformation, extensions, hardy, spectral, stinespring
+from . import __version__, deformation, extensions, hardy, spectral, stinespring
 from .hardy import TOLERANCES as TOL
-from .reporting import build_report, load_symbol_file, write_report
+from .reporting import load_symbol_file, write_report
+
+
+def _within(value, kind: str) -> bool:
+    """Whether a residual passes TOL[kind]: at most tol, a lower bound down to -tol, an exact one only at +-0.0."""
+    return {"lower_bound": -value, "exact": abs(value)}.get(kind, value) <= TOL[kind]
 
 
 def _cmd_defect(args):
@@ -35,16 +40,16 @@ def _cmd_defect(args):
     mb = hardy.multiplication_operator(b, w).entries
     # P M_a (1-P) M_b P: the product of the two Hankel blocks
     hankel_form = ma[q, n] @ mb[n, q]
-    r_hankel = hardy._opnorm((product.entries[q, q] - hankel_form)[v, v])
-    r_adjoint = hardy._opnorm(adjoint.entries[q, q][v, v])
-    residuals = {"hankel_product": r_hankel, "adjoint_defect": r_adjoint}
+    checks = {
+        "hankel_product": (hardy._opnorm((product.entries[q, q] - hankel_form)[v, v]), "identity"),
+        "adjoint_defect": (hardy._opnorm(adjoint.entries[q, q][v, v]), "identity"),
+    }
     results = {
         "defect_norm": hardy._opnorm(product.entries[q, q]),
         "window": [args.lo, args.hi],
         "bandwidths": [a.bandwidth, b.bandwidth],
     }
-    passed = r_hankel <= TOL["identity"] and r_adjoint <= TOL["identity"]
-    return passed, results, residuals
+    return results, checks
 
 
 def _cmd_spectrum(args):
@@ -66,7 +71,7 @@ def _cmd_spectrum(args):
         "spectrum_head": s.values[:16],
         "schatten_2": spectral.schatten_norm(s, 2.0),
     }
-    return True, results, {}
+    return results, {}
 
 
 def _cmd_stinespring(args):
@@ -89,8 +94,7 @@ def _cmd_stinespring(args):
             hom = d.rep(a @ b) - pia @ d.rep(b)
             worst["homomorphism"] = max(worst["homomorphism"], hardy._opnorm(hom))
     results = {"maps": args.maps, "pairs": args.pairs, "dims": [args.n, args.m, args.r]}
-    passed = all(v <= TOL["numerical"] for v in worst.values())
-    return passed, results, worst
+    return results, {name: (v, "numerical") for name, v in worst.items()}
 
 
 def _cmd_sum_demo(args):
@@ -128,9 +132,12 @@ def _cmd_sum_demo(args):
         worst_swap = max(
             worst_swap, hardy._opnorm(s_ba.entries - swap @ s_ab.entries @ swap.conj().T)
         )
-    residuals = {"isometry_relations": relations, "spectrum_merge": worst_merge, "swap_conjugation": worst_swap}
-    passed = relations == 0.0 and worst_merge <= TOL["numerical"] and worst_swap <= TOL["numerical"]
-    return passed, {"size": args.size, "trials": args.trials}, residuals
+    checks = {
+        "isometry_relations": (relations, "exact"),
+        "spectrum_merge": (worst_merge, "numerical"),
+        "swap_conjugation": (worst_swap, "numerical"),
+    }
+    return {"size": args.size, "trials": args.trials}, checks
 
 
 def _cmd_inverse(args):
@@ -140,9 +147,8 @@ def _cmd_inverse(args):
         a = hardy.make_symbol([(1, 1.0), (-1, 1.0)])
     w = hardy.Window(args.lo, args.hi)
     r_u, r_p, r_id = extensions.inverse_identity_residuals(a, w)
-    residuals = {"unitary": r_u, "projection": r_p, "identity": r_id}
-    passed = r_u == 0.0 and r_p == 0.0 and r_id == 0.0
-    return passed, {"window": [args.lo, args.hi], "bandwidth": a.bandwidth}, residuals
+    checks = {"unitary": (r_u, "exact"), "projection": (r_p, "exact"), "identity": (r_id, "exact")}
+    return {"window": [args.lo, args.hi], "bandwidth": a.bandwidth}, checks
 
 
 def _cmd_deformation(args):
@@ -165,8 +171,8 @@ def _cmd_deformation(args):
         deformation.deformation_defect_residuals(t, both, both, w),
     )
     residuals = {"quadratic_identity": r_quad, "shift_coefficients": r_prpcalc, "defect_expansion": r_defect}
-    passed = all(v <= TOL["identity"] for v in residuals.values())
-    return passed, {"eps": args.eps, "family": args.family, "modes": args.modes}, residuals
+    checks = {name: (v, "identity") for name, v in residuals.items()}
+    return {"eps": args.eps, "family": args.family, "modes": args.modes}, checks
 
 
 def _cmd_lemma(args):
@@ -179,11 +185,11 @@ def _cmd_lemma(args):
         seed=args.seed,
     )
     rep = deformation.lemma_lower_bound_report(params, args.trials)
-    residuals = {
-        "min_gap": rep.min_gap,
-        "min_norm_margin": rep.min_norm_margin,
-        "s1_max_residual": rep.s1_max_residual,
-        "s2_max_residual": rep.s2_max_residual,
+    checks = {
+        "min_gap": (rep.min_gap, "lower_bound"),
+        "min_norm_margin": (rep.min_norm_margin, "lower_bound"),
+        "s1_max_residual": (rep.s1_max_residual, "numerical"),
+        "s2_max_residual": (rep.s2_max_residual, "numerical"),
     }
     results = {
         "trials": rep.trials,
@@ -191,13 +197,7 @@ def _cmd_lemma(args):
         "lhs_norm_min": min(rep.lhs_norms),
         "min_gaps_head": rep.min_gaps[:16],
     }
-    passed = (
-        rep.min_gap >= -TOL["lower_bound"]
-        and rep.min_norm_margin >= -TOL["lower_bound"]
-        and rep.s1_max_residual <= TOL["numerical"]
-        and rep.s2_max_residual <= TOL["numerical"]
-    )
-    return passed, results, residuals
+    return results, checks
 
 
 def _cmd_sweep(args):
@@ -206,7 +206,7 @@ def _cmd_sweep(args):
         for i in range(args.steps)
     ]
     rep = deformation.epsilon_sweep(args.p, grid, args.family, args.max_index)
-    return True, dataclasses.asdict(rep), {}
+    return dataclasses.asdict(rep), {}
 
 
 def _count(text: str, least: int = 1) -> int:
@@ -311,14 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args) -> int:
     try:
-        passed, results, residuals = args.handler(args)
+        results, checks = args.handler(args)  # checks: {name: (residual, kind of TOL)}
+        passed = all(_within(value, kind) for value, kind in checks.values())
         if args.out and args.format == "json":
             params = {
                 k: v
                 for k, v in vars(args).items()
                 if k not in ("command", "handler", "out", "seed") and v is not None
             }
-            report = build_report(args.command, params, args.seed, results, residuals, passed)
+            report = {
+                "command": args.command,
+                "params": params,
+                "seed": args.seed,
+                "results": results,
+                "residuals": {name: value for name, (value, _) in checks.items()},
+                "pass": passed,
+                "tool_version": __version__,
+            }
             write_report(report, args.out)
     except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"oil: internal check failed: {exc}", file=sys.stderr)

@@ -20,7 +20,10 @@ TOLERANCES = {  # tolerances of the checks and constructions, by kind of residua
     "identity": 1e-12,  # entrywise algebraic identities on guard-valid entries
     "numerical": 1e-10,  # residuals through random unitaries, dilations and SVDs
     "lower_bound": 1e-9,  # slack below zero allowed in the lemma's lower bounds
+    "exact": 0.0,  # counts and relations of 0/1 matrices, which hold with no rounding
     "contraction": 1e-12,  # slack above 1 allowed in the spectrum of kappa(1) = sum K K^*
+    "order": 1e-12,  # relative slack allowed in the non-increasing order of a singular spectrum
+    "rounding": 1e-14,  # eigenvalues below this are exact zeros in a dilation's defect root
 }
 
 
@@ -91,6 +94,8 @@ class Window:
     hi: int
 
     def __post_init__(self):
+        if not all(isinstance(b, (int, np.integer)) for b in (self.lo, self.hi)):
+            raise ValueError(f"window bounds must be integers, got [{self.lo},{self.hi}]")
         if not (self.lo <= 0 <= self.hi):
             raise ValueError(f"window [{self.lo},{self.hi}] must satisfy lo <= 0 <= hi")
 
@@ -123,6 +128,7 @@ class WindowedOperator:
 
     The entries of multiplication_operator are a read-only strided view of
     2d - 1 coefficients; every other builder returns a fresh writable array.
+    The entries are checked finite once, when the operator is built.
     """
 
     window: Window

@@ -6,7 +6,6 @@ import json
 
 import numpy as np
 
-from . import __version__ as TOOL_VERSION
 from .hardy import Symbol, make_symbol
 
 
@@ -31,18 +30,6 @@ def _plain(obj):
     return obj
 
 
-def build_report(command: str, params: dict, seed: int, results: dict, residuals: dict, passed: bool) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "results": results,
-        "residuals": residuals,
-        "pass": bool(passed),
-        "tool_version": TOOL_VERSION,
-    }
-
-
 def write_report(report: dict, path) -> None:
     """Write a report as deterministic, sorted-key JSON."""
     text = json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False)
@@ -63,19 +50,14 @@ def load_symbol_file(path) -> Symbol:
     for row in data:
         if not (isinstance(row, list) and len(row) == 3):
             raise UsageError(f"bad symbol row {row!r}: expected [degree, re, im]")
-        deg, re, im = row
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in row):
             raise UsageError(f"bad symbol row {row!r}: entries must be numbers")
-        if isinstance(deg, float) and not deg.is_integer():
-            raise UsageError(f"bad symbol row {row!r}: degree must be an integer")
+        deg, re, im = row
         try:
-            amp = complex(float(re), float(im))
+            pairs.append((deg, complex(float(re), float(im))))
         except OverflowError as exc:  # an integer beyond the float range
             raise UsageError(f"bad symbol row {row!r}: {exc}") from exc
-        if not np.isfinite(amp):  # json reads NaN, Infinity and -Infinity
-            raise UsageError(f"bad symbol row {row!r}: amplitudes must be finite")
-        pairs.append((int(deg), amp))
-    try:
+    try:  # make_symbol owns the rules on degrees and amplitudes
         return make_symbol(pairs)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"symbol file {path}: {exc}") from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hardy import WindowedOperator, _svdvals
+from .hardy import TOLERANCES, WindowedOperator, _svdvals
 
 DELTA_DIVERGENT = 0.05
 DELTA_SUMMABLE = 0.01
@@ -31,7 +31,7 @@ class SingularSpectrum:
         v = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(v)) or np.any(v < 0):
             raise ValueError("singular values must be finite and nonnegative")
-        if np.any(np.diff(v) > 1e-12 * max(1.0, v[0] if v.size else 1.0)):
+        if np.any(np.diff(v) > TOLERANCES["order"] * max(1.0, v[0] if v.size else 1.0)):
             raise ValueError("singular values must be non-increasing")
         object.__setattr__(self, "values", v)
 
@@ -72,8 +72,10 @@ def singular_values(A: WindowedOperator | np.ndarray) -> SingularSpectrum:
     Only the nonzero rows and columns go to the SVD (hardy._svdvals), so a
     finite-rank Hankel or commutator block costs its corner, not its window.
     """
-    x = A.entries if isinstance(A, WindowedOperator) else np.asarray(A, dtype=complex)
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if isinstance(A, WindowedOperator):  # its entries were checked finite when it was built
+        return SingularSpectrum(_svdvals(A.entries))
+    x = np.asarray(A, dtype=complex)
+    if not np.isfinite(x).all():
         raise ValueError("non-finite matrix entries")
     return SingularSpectrum(_svdvals(x))
 

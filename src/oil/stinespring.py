@@ -122,7 +122,7 @@ def dilation_build(cp: CpMap) -> DilationData:
         raise RuntimeError(f"contraction violated: defect eigenvalue {np.min(evals):.3e}")
     # eigenvalues at rounding scale are treated as exact zeros so that a
     # unital map gets a genuinely zero defect block, not its sqrt(eps) shadow
-    evals = np.where(evals < 1e-14, 0.0, evals)
+    evals = np.where(evals < TOLERANCES["rounding"], 0.0, evals)
     root = (evecs * np.sqrt(evals)) @ evecs.conj().T
     w = np.vstack([k.conj().T for k in cp.kraus] + [root])  # (n*r + m) x m
 
@@ -148,9 +148,6 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = d.cp.n
-    if a.shape != (n, n) or b.shape != (n, n):
-        raise ValueError(f"expected {n}x{n} inputs")
     _, pi12a, pi21a, _ = d.blocks(a)
     _, _, pi21b, _ = d.blocks(b)
     ka = d.cp.apply(a)

@@ -1,5 +1,7 @@
 """Tests for the command-line driver: dispatch, reports, and exit codes."""
 
+import argparse
+import dataclasses
 import json
 import re
 from decimal import Decimal, localcontext
@@ -7,9 +9,19 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from oil import Window, deformation, multiplication_operator, numerical_rank, stinespring
-from oil.cli import main
-from oil.reporting import UsageError, build_report, load_symbol_file, write_report
+from oil import (
+    Window,
+    WindowedOperator,
+    deformation,
+    extensions,
+    hardy,
+    multiplication_operator,
+    numerical_rank,
+    stinespring,
+)
+from oil.cli import _within, build_parser, main
+from oil.hardy import TOLERANCES
+from oil.reporting import UsageError, load_symbol_file, write_report
 
 
 @pytest.fixture
@@ -40,22 +52,22 @@ class TestSymbolFile:
     @pytest.mark.parametrize(
         "rows, match",
         [
-            ("[[1.5, 1, 0]]", "degree must be an integer"),
-            ("[[true, 1, 0]]", "must be numbers"),
-            ("[[null, 1, 0]]", "must be numbers"),
-            ("[[1, [1], 0]]", "must be numbers"),
-            ("[[1, 1, \"0\"]]", "must be numbers"),
-            ("[[Infinity, 1, 0]]", "degree must be an integer"),
-            ("[[1, NaN, 0]]", "amplitudes must be finite"),
-            ("[[1, 1, Infinity]]", "amplitudes must be finite"),
-            ("[[0, 1, 0], [2, -Infinity, 0]]", "amplitudes must be finite"),
-            ("[[1, 1%s, 0]]" % ("0" * 400), "too large"),
+            ("[[1.5, 1, 0]]", r"symbol file .*bad_row\.json: degree 1\.5 is not an integer$"),
+            ("[[true, 1, 0]]", "bad symbol row .*must be numbers"),
+            ("[[null, 1, 0]]", "bad symbol row .*must be numbers"),
+            ("[[1, [1], 0]]", "bad symbol row .*must be numbers"),
+            ("[[1, 1, \"0\"]]", "bad symbol row .*must be numbers"),
+            ("[[Infinity, 1, 0]]", r"symbol file .*bad_row\.json: degree inf is not an integer$"),
+            ("[[1, NaN, 0]]", r"symbol file .*bad_row\.json: non-finite amplitude \(nan\+0j\) at degree 1$"),
+            ("[[1, 1, Infinity]]", r"symbol file .*bad_row\.json: non-finite amplitude \(1\+infj\) at degree 1$"),
+            ("[[0, 1, 0], [2, -Infinity, 0]]", r"symbol file .*bad_row\.json: non-finite amplitude \(-inf\+0j\) at degree 2$"),
+            ("[[1, 1%s, 0]]" % ("0" * 400), "bad symbol row .*too large"),
         ],
     )
     def test_bad_row(self, tmp_path, rows, match):
         path = tmp_path / "bad_row.json"
         path.write_text(rows)
-        with pytest.raises(UsageError, match=r"bad symbol row .*" + match):
+        with pytest.raises(UsageError, match=match):
             load_symbol_file(path)
         assert main(["defect", "--symbol-a", str(path)]) == 2
 
@@ -228,7 +240,7 @@ class TestDispatch:
 
     def test_infinite_value_in_report(self, tmp_path):
         out = tmp_path / "r.json"
-        write_report(build_report("x", {}, 1, {"big": np.inf}, {"low": -np.inf}, False), out)
+        write_report({"results": {"big": np.inf}, "residuals": {"low": -np.inf}}, out)
         report = json.loads(out.read_text())
         assert report["results"]["big"] == "inf" and report["residuals"]["low"] == "-inf"
 
@@ -334,6 +346,64 @@ class TestDispatch:
     def test_stinespring_check(self):
         assert main(["stinespring-check", "--maps", "2", "--pairs", "3"]) == 0
 
-    def test_bad_family(self):
-        assert main(["sweep", "--p", "2", "--eps-min", "0.1", "--eps-max", "0.5",
-                     "--family", "bogus", "--max-index", "1024"]) == 2
+
+@pytest.mark.parametrize("kind, rule", [
+    ("identity", lambda v, tol: v <= tol),
+    ("numerical", lambda v, tol: v <= tol),
+    ("exact", lambda v, tol: v == 0.0),
+    ("lower_bound", lambda v, tol: v >= -tol),
+])
+def test_within_keeps_each_kinds_rule(kind, rule):
+    tol = TOLERANCES[kind]
+    grid = [0.0, -0.0, tol, -tol, np.nextafter(tol, np.inf), np.nextafter(-tol, -np.inf),
+            np.nan, np.inf, -np.inf, 1.0]
+    assert [bool(_within(v, kind)) for v in grid] == [rule(v, tol) for v in grid]
+
+
+# One library call per checked subcommand, called through its module by the
+# handler, and a fault built from the real call that breaks one residual.
+PLANTED_FAULTS = [
+    (["defect", "--symbol-a", "SYMBOL"], hardy, "splitting_defect",
+     lambda real: lambda a, b, w: tuple(WindowedOperator(w, x.entries + 1e-6) for x in real(a, b, w))),
+    (["stinespring-check", "--maps", "1", "--pairs", "1"], stinespring, "defect_identity_residuals",
+     lambda real: lambda d, a, b: tuple(r + 1e-6 for r in real(d, a, b))),
+    (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
+     lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
+    (["inverse-check"], extensions, "inverse_identity_residuals",
+     lambda real: lambda a, w: tuple(r + 1.0 for r in real(a, w))),
+    (["deformation-check", "--eps", "0.4", "--modes", "8"], deformation, "quadratic_identity_residual",
+     lambda real: lambda eps, w: real(eps, w) + 1e-9),
+    (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"], deformation,
+     "lemma_lower_bound_report",
+     lambda real: lambda params, trials: dataclasses.replace(
+         real(params, trials), min_gaps=np.minimum(real(params, trials).min_gaps, -1e-6))),
+]
+UNCHECKED = {"spectrum", "sweep"}  # no residual yet (ROADMAP items 3-4), so nothing can turn them FAIL
+
+
+@pytest.mark.parametrize("argv, module, name, fault", PLANTED_FAULTS, ids=[f[0][0] for f in PLANTED_FAULTS])
+def test_planted_fault_turns_pass_into_fail(argv, module, name, fault, symbol_file, tmp_path, monkeypatch, capsys):
+    argv = [symbol_file if a == "SYMBOL" else a for a in argv] + ["--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{argv[0]}: PASS\n"
+    assert json.loads((tmp_path / "r.json").read_text())["pass"] is True
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert main(argv) == 1
+    assert capsys.readouterr().out == f"{argv[0]}: FAIL\n"
+    assert json.loads((tmp_path / "r.json").read_text())["pass"] is False
+
+
+def test_every_checked_subcommand_has_a_planted_fault():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert {f[0][0] for f in PLANTED_FAULTS} == set(commands) - UNCHECKED
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--symbol", "SYMBOL"],
+    ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2", "--max-index", "1024"],
+])
+def test_unchecked_subcommands_report_no_residual(argv, symbol_file, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([symbol_file if a == "SYMBOL" else a for a in argv] + ["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["residuals"] == {} and report["pass"] is True

@@ -1,5 +1,7 @@
 """Tests for symbols, windowed operators, and the Toeplitz/Hankel calculus."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,16 @@ class TestWindow:
     def test_guard_slice_empty(self):
         with pytest.raises(GuardBandError):
             guard_slice(Window(-2, 2), 2, 2)
+
+    @pytest.mark.parametrize("lo, hi", [(-1.5, 2), (-2, 2.0), (0, np.float64(3))])
+    def test_non_integer_bounds_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match=re.escape(f"window bounds must be integers, got [{lo},{hi}]")):
+            Window(lo, hi)
+
+    def test_numpy_integer_bounds_accepted(self):
+        w = Window(np.int64(-2), np.int32(3))
+        assert w.dimension == 6
+        np.testing.assert_array_equal(toeplitz_compress(Z, w).entries, toeplitz_compress(Z, Window(-2, 3)).entries)
 
 
 class TestOpnorm:
