@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -220,29 +221,15 @@ def _count(text: str, least: int = 1) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer >= 0."""
-    return _count(text, least=0)
-
-
-def _steps(text: str) -> int:
-    """argparse type of --steps: an integer >= 2, the two ends of the grid."""
-    return _count(text, least=2)
-
-
-_FAMILY_ALIASES = {
-    "power": "pure_power",
-    "pure_power": "pure_power",
-    "paper": "paper_formula",
-    "paper_formula": "paper_formula",
-}
+_FAMILY_ALIASES = {"power": "pure_power", "paper": "paper_formula"}
 
 
 def _family(text: str) -> str:
     """argparse type of --family: a lambda family's name or alias, read as its name."""
-    if text not in _FAMILY_ALIASES:
+    name = _FAMILY_ALIASES.get(text, text)
+    if name not in deformation.FAMILIES:
         raise argparse.ArgumentTypeError(f"unknown family {text!r}")
-    return _FAMILY_ALIASES[text]
+    return name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--out", default=None, help="report output path")
         p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--seed", type=_seed, default=42)
+        p.add_argument("--seed", type=partial(_count, least=0), default=42)
         return p
 
     p = command("defect", _cmd_defect, "Toeplitz splitting defects of two symbols")
@@ -302,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
-    p.add_argument("--steps", type=_steps, default=8)
+    p.add_argument("--steps", type=partial(_count, least=2), default=8)
     p.add_argument("--family", type=_family, default="power")
     p.add_argument("--max-index", type=int, default=65536)
 

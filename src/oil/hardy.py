@@ -2,9 +2,9 @@
 
 Symbols are trigonometric polynomials held by their (finitely supported)
 Fourier coefficients.  Operators act on a contiguous window of Fourier
-modes as dense complex matrices; truncation at the window edges is the
-only source of error, and every algebraic identity is asserted only on
-guard-valid entries.
+modes and are held as their nonzero blocks; truncation at the window edges
+is the only source of error, and every algebraic identity is asserted only
+on guard-valid entries.
 """
 
 from __future__ import annotations
@@ -124,24 +124,40 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowedOperator:
-    """Dense complex matrix indexed by a contiguous Fourier-mode window.
+    """Operator on a Fourier-mode window, held as its nonzero blocks (rows, cols, array).
 
-    The entries of multiplication_operator are a read-only strided view of
-    2d - 1 coefficients; every other builder returns a fresh writable array.
-    The entries are checked finite once, when the operator is built.
+    The blocks lie in disjoint rows and columns of range(d); a d x d array in
+    place of the tuple is one block that covers the window.  Each block's
+    shape and finiteness are checked once, at build, and it is kept read-only.
     """
 
     window: Window
-    entries: np.ndarray
+    blocks: tuple
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        d = self.window.dimension
-        if entries.shape != (d, d):
-            raise ValueError(f"entries shape {entries.shape} != ({d},{d})")
-        if not np.isfinite(entries).all():
-            raise ValueError("non-finite matrix entries")
-        object.__setattr__(self, "entries", entries)
+        index = range(self.window.dimension)
+        blocks = self.blocks if isinstance(self.blocks, tuple) else ((slice(None), slice(None), self.blocks),)
+        checked = []
+        for rows, cols, x in blocks:
+            x = np.asarray(x, dtype=complex).view()  # a view, so the caller's array keeps its flags
+            if x.shape != (len(index[rows]), len(index[cols])):
+                raise ValueError(f"block shape {x.shape} != {len(index[rows]), len(index[cols])}")
+            if not np.isfinite(x).all():
+                raise ValueError("non-finite matrix entries")
+            x.flags.writeable = False
+            checked.append((rows, cols, x))
+        object.__setattr__(self, "blocks", tuple(checked))
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The d x d matrix: a block that covers the window as it is (M_a's strided view), else a fresh fill."""
+        index = range(self.window.dimension)
+        if len(self.blocks) == 1 and index[self.blocks[0][0]] == index == index[self.blocks[0][1]]:
+            return self.blocks[0][2]
+        out = np.zeros((len(index), len(index)), dtype=complex)
+        for rows, cols, x in self.blocks:
+            out[rows, cols] = x
+        return out
 
 
 def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
@@ -170,24 +186,15 @@ def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
     return WindowedOperator(w, sliding_window_view(c, d)[::-1])  # read-only; row j starts at c[d-1-j]
 
 
-def _block(x: np.ndarray, rows: slice, cols: slice) -> np.ndarray:
-    """Copy of a window matrix, zero outside the block x[rows, cols]."""
-    out = np.zeros_like(x)
-    out[rows, cols] = x[rows, cols]
-    return out
-
-
 def hardy_projection(w: Window) -> WindowedOperator:
     """Diagonal projection onto the nonnegative Fourier modes of the window."""
-    p = np.zeros((w.dimension, w.dimension), dtype=complex)
-    np.fill_diagonal(p[w.hardy, w.hardy], 1.0)
-    return WindowedOperator(w, p)
+    return WindowedOperator(w, ((w.hardy, w.hardy, np.eye(w.hi + 1, dtype=complex)),))
 
 
 def toeplitz_compress(a: Symbol, w: Window) -> WindowedOperator:
-    """Toeplitz compression P M_a P on the window."""
+    """Toeplitz compression P M_a P on the window: M_a's Hardy quadrant."""
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _block(m, w.hardy, w.hardy))
+    return WindowedOperator(w, ((w.hardy, w.hardy, m[w.hardy, w.hardy]),))
 
 
 def _require_two_sided(w: Window, what: str):
@@ -195,27 +202,33 @@ def _require_two_sided(w: Window, what: str):
         raise ValueError(f"{what} needs strictly negative modes; window starts at {w.lo}")
 
 
+def _corners(w: Window, bandwidth: int) -> tuple[slice, slice]:
+    """Indices of the bandwidth negative and Hardy modes by mode 0; M_a's Hankel blocks vanish outside."""
+    zero = w.hardy.start  # matrix index of mode 0
+    return slice(max(zero - bandwidth, 0), zero), slice(zero, zero + bandwidth)
+
+
 def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     """Hankel part (1-P) M_a P; the range lives on negative modes."""
     _require_two_sided(w, "hankel_operator")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _block(m, w.negative, w.hardy))
+    n, h = _corners(w, a.bandwidth)
+    return WindowedOperator(w, ((n, h, m[n, h]),))
 
 
 def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
-    """Compression (1-P) M_a (1-P) to the strictly negative modes."""
+    """Compression (1-P) M_a (1-P) to the strictly negative modes: M_a's negative quadrant."""
     _require_two_sided(w, "complement_compression")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _block(m, w.negative, w.negative))
+    return WindowedOperator(w, ((w.negative, w.negative, m[w.negative, w.negative]),))
 
 
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
-    """Commutator [P, M_a] on the window."""
+    """Commutator [P, M_a] = P M_a (1-P) - (1-P) M_a P as two corners; 0.0 - x, not -x, keeps zeros +0.0."""
     _require_two_sided(w, "projection_commutator")
     m = multiplication_operator(a, w).entries
-    comm = _block(m, w.hardy, w.negative)  # P M_a (1-P) - (1-P) M_a P; 0.0 - x, not -x, keeps zeros +0.0
-    np.subtract(0.0, m[w.negative, w.hardy], out=comm[w.negative, w.hardy])
-    return WindowedOperator(w, comm)
+    n, h = _corners(w, a.bandwidth)
+    return WindowedOperator(w, ((h, n, m[h, n]), (n, h, np.subtract(0.0, m[n, h]))))
 
 
 def splitting_defect(a: Symbol, b: Symbol, w: Window):
@@ -226,7 +239,7 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     window must be guard-valid for depth 2 at the combined bandwidth.
 
     Every Toeplitz compression is zero off the Hardy quadrant, so both
-    defects are formed on it alone and are exactly +0.0 elsewhere.
+    defects are formed on it alone, as their one block.
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
@@ -235,11 +248,7 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     tb = multiplication_operator(b, w).entries[q, q]
     tab = multiplication_operator(symbol_product(a, b), w).entries[q, q]
     tconj = multiplication_operator(symbol_conjugate(a), w).entries[q, q]
-    product = np.zeros((w.dimension, w.dimension), dtype=complex)
-    adjoint = np.zeros_like(product)
-    np.subtract(tab, ta @ tb, out=product[q, q])
-    np.subtract(tconj, ta.conj().T, out=adjoint[q, q])
-    return WindowedOperator(w, product), WindowedOperator(w, adjoint)
+    return WindowedOperator(w, ((q, q, tab - ta @ tb),)), WindowedOperator(w, ((q, q, tconj - ta.conj().T),))
 
 
 def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:

@@ -69,11 +69,14 @@ class SummabilityVerdict:
 def singular_values(A: WindowedOperator | np.ndarray) -> SingularSpectrum:
     """All min(shape) singular values, descending, exact zeros included.
 
-    Only the nonzero rows and columns go to the SVD (hardy._svdvals), so a
-    finite-rank Hankel or commutator block costs its corner, not its window.
+    An operator's spectrum is the union of its blocks', padded with zeros to
+    d, and only the nonzero rows and columns of a block or array go to the
+    SVD (hardy._svdvals); no d x d matrix is formed for a block operator.
     """
-    if isinstance(A, WindowedOperator):  # its entries were checked finite when it was built
-        return SingularSpectrum(_svdvals(A.entries))
+    if isinstance(A, WindowedOperator):  # its blocks were checked finite when it was built
+        d = A.window.dimension
+        s = np.concatenate([_svdvals(x) for _, _, x in A.blocks] + [np.zeros(d)])
+        return SingularSpectrum(np.sort(s)[::-1][:d])
     x = np.asarray(A, dtype=complex)
     if not np.isfinite(x).all():
         raise ValueError("non-finite matrix entries")
