@@ -239,7 +239,8 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     window must be guard-valid for depth 2 at the combined bandwidth.
 
     Every Toeplitz compression is zero off the Hardy quadrant, so both
-    defects are formed on it alone, as their one block.
+    defects are formed on it alone, as their one block.  The adjoint defect
+    is zero with no rounding on every window: both terms read a's coefficients.
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
@@ -254,9 +255,8 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
 def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:
     """Norm of tau(R_theta a) - U_theta tau(a) U_theta^*; zero up to rounding."""
     rotated = make_symbol((deg, amp * np.exp(1j * deg * theta)) for deg, amp in a.coefficients)
-    u = np.exp(1j * theta * w.modes)  # diagonal of U_theta
-    ta = toeplitz_compress(a, w).entries
-    tr = toeplitz_compress(rotated, w).entries
+    u = np.exp(1j * theta * w.modes[w.hardy])  # diagonal of U_theta on the Hardy quadrant, where both live
+    ((_, _, ta),), ((_, _, tr),) = (toeplitz_compress(s, w).blocks for s in (a, rotated))
     return _opnorm(tr - u[:, None] * ta * u.conj())
 
 

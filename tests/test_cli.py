@@ -360,28 +360,39 @@ def test_within_keeps_each_kinds_rule(kind, rule):
     assert [bool(_within(v, kind)) for v in grid] == [rule(v, tol) for v in grid]
 
 
+def _nudged(sym):
+    """sym with the real part of its first amplitude moved up by one ulp."""
+    (deg, amp), *rest = sym.coefficients
+    return hardy.make_symbol([(deg, complex(np.nextafter(amp.real, np.inf), amp.imag)), *rest])
+
+
 # One library call per checked subcommand, called through its module by the
 # handler, and a fault built from the real call that breaks one residual.
-PLANTED_FAULTS = [
-    (["defect", "--symbol-a", "SYMBOL"], hardy, "splitting_defect",
-     lambda real: lambda a, b, w: tuple(WindowedOperator(w, x.entries + 1e-6) for x in real(a, b, w))),
-    (["stinespring-check", "--maps", "1", "--pairs", "1"], stinespring, "defect_identity_residuals",
-     lambda real: lambda d, a, b: tuple(r + 1e-6 for r in real(d, a, b))),
-    (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
-     lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
-    (["inverse-check"], extensions, "inverse_identity_residuals",
-     lambda real: lambda a, w: tuple(r + 1.0 for r in real(a, w))),
-    (["deformation-check", "--eps", "0.4", "--modes", "8"], deformation, "quadratic_identity_residual",
-     lambda real: lambda eps, w: real(eps, w) + 1e-9),
-    (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"], deformation,
-     "lemma_lower_bound_report",
-     lambda real: lambda params, trials: dataclasses.replace(
-         real(params, trials), min_gaps=np.minimum(real(params, trials).min_gaps, -1e-6))),
-]
+PLANTED_FAULTS = {
+    "defect": (["defect", "--symbol-a", "SYMBOL"], hardy, "splitting_defect",
+               lambda real: lambda a, b, w: tuple(
+                   WindowedOperator(w, tuple((r, c, x + 1e-6) for r, c, x in op.blocks)) for op in real(a, b, w))),
+    # one ulp, far below the identity tolerance: only the exact adjoint_defect count can see it
+    "defect-adjoint": (["defect", "--symbol-a", "SYMBOL"], hardy, "symbol_conjugate",
+                       lambda real: lambda a: _nudged(real(a))),
+    "stinespring-check": (["stinespring-check", "--maps", "1", "--pairs", "1"], stinespring,
+                          "defect_identity_residuals",
+                          lambda real: lambda d, a, b: tuple(r + 1e-6 for r in real(d, a, b))),
+    "sum-demo": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
+                 lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
+    "inverse-check": (["inverse-check"], extensions, "inverse_identity_residuals",
+                      lambda real: lambda a, w: tuple(r + 1.0 for r in real(a, w))),
+    "deformation-check": (["deformation-check", "--eps", "0.4", "--modes", "8"], deformation,
+                          "quadratic_identity_residual", lambda real: lambda eps, w: real(eps, w) + 1e-9),
+    "lemma-check": (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"], deformation,
+                    "lemma_lower_bound_report",
+                    lambda real: lambda params, trials: dataclasses.replace(
+                        real(params, trials), min_gaps=np.minimum(real(params, trials).min_gaps, -1e-6))),
+}
 UNCHECKED = {"spectrum", "sweep"}  # no residual yet (ROADMAP items 3-4), so nothing can turn them FAIL
 
 
-@pytest.mark.parametrize("argv, module, name, fault", PLANTED_FAULTS, ids=[f[0][0] for f in PLANTED_FAULTS])
+@pytest.mark.parametrize("argv, module, name, fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))
 def test_planted_fault_turns_pass_into_fail(argv, module, name, fault, symbol_file, tmp_path, monkeypatch, capsys):
     argv = [symbol_file if a == "SYMBOL" else a for a in argv] + ["--out", str(tmp_path / "r.json")]
     assert main(argv) == 0
@@ -395,7 +406,22 @@ def test_planted_fault_turns_pass_into_fail(argv, module, name, fault, symbol_fi
 
 def test_every_checked_subcommand_has_a_planted_fault():
     commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
-    assert {f[0][0] for f in PLANTED_FAULTS} == set(commands) - UNCHECKED
+    assert {f[0][0] for f in PLANTED_FAULTS.values()} == set(commands) - UNCHECKED
+
+
+def test_conjugate_fault_fails_through_adjoint_defect_alone(symbol_file, tmp_path, monkeypatch):
+    argv, module, name, fault = PLANTED_FAULTS["defect-adjoint"]
+    out = tmp_path / "r.json"
+    argv = [symbol_file if a == "SYMBOL" else a for a in argv] + ["--out", str(out)]
+    assert main(argv) == 0
+    clean = json.loads(out.read_text())
+    monkeypatch.setattr(module, name, fault(getattr(module, name)))
+    assert main(argv) == 1
+    faulted = json.loads(out.read_text())
+    # the nudged degree -1 lies on one diagonal of the 41 x 41 Hardy quadrant: 40 entries
+    assert faulted["residuals"].pop("adjoint_defect") == 40.0
+    assert clean["residuals"].pop("adjoint_defect") == 0.0
+    assert faulted["residuals"] == clean["residuals"] and faulted["results"] == clean["results"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oil import (
+    IdealSpec,
     Window,
     WindowedOperator,
     complement_compression,
@@ -24,10 +25,13 @@ from oil import (
     multiplication_operator,
     numerical_rank,
     projection_commutator,
+    rotation_equivariance_residual,
     singular_values,
     splitting_defect,
     toeplitz_compress,
+    toeplitz_invertibility_report,
 )
+from oil.cli import main
 from oil.hardy import TOLERANCES, _rank
 
 # narrower than the bandwidth on one or both sides (lo = -1, hi = 0), lopsided, symmetric
@@ -182,3 +186,33 @@ def test_spectrum_forms_no_window_matrix(build):
         assert singular_values(build(a, w)).values.shape == (w.dimension,)
 
     assert _peak_bytes(spectrum) < 32 * 2**20
+
+
+def test_no_check_reads_a_filled_window_matrix(tmp_path, monkeypatch, capsys):
+    """Every oil check reads a block operator through its blocks; entries is only M_a's view or a dense array."""
+    fill = WindowedOperator.entries.fget
+
+    def covering_only(op):
+        index = range(op.window.dimension)
+        (rows, cols, _), *rest = op.blocks
+        if rest or not index[rows] == index == index[cols]:
+            raise AssertionError(f"d x d fill of {len(op.blocks)} block(s) on {op.window}")
+        return fill(op)
+
+    monkeypatch.setattr(WindowedOperator, "entries", property(covering_only))
+    mix = tmp_path / "mix.json"
+    mix.write_text("[[1, 1, 0], [-1, 1, 0], [2, 0.5, 0], [-3, 0.25, 0]]")
+    runs = [
+        ["defect", "--symbol-a", str(mix)],
+        *(["spectrum", "--symbol", str(mix), "--op", op] for op in ("toeplitz", "hankel", "commutator", "mult")),
+        ["inverse-check", "--symbol", str(mix)],
+        ["sum-demo", "--size", "8", "--trials", "2"],
+        ["deformation-check", "--eps", "0.4", "--modes", "64"],
+    ]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out == "".join(f"{argv[0]}: PASS\n" for argv in runs)
+    a = make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)])
+    assert rotation_equivariance_residual(a, 1.0, Window(-8, 8)) <= TOLERANCES["identity"]
+    rep = toeplitz_invertibility_report(a, IdealSpec.schatten(1.0), Window(-40, 40), 64)
+    assert rep["commutator_verdict"].verdict == "summable"
