@@ -1,8 +1,8 @@
 """Command-line driver: one subcommand per experiment family.
 
 Exit status: 0 when every checked tolerance holds, 1 when an assertion
-fails, an internal check of a construction fails, memory runs out or a
-report cannot be written, 2 on usage errors.
+fails, an internal check of a construction fails (an overflow among
+them), memory runs out or a report cannot be written, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, deformation, extensions, hardy, spectral, stinespring
 from .hardy import TOLERANCES as TOL
-from .reporting import load_symbol_file, write_report
+from .reporting import UsageError, load_symbol_file, write_report
 
 
 def _within(value, kind: str) -> bool:
@@ -177,6 +177,8 @@ def _cmd_deformation(args):
 
 
 def _cmd_lemma(args):
+    if args.ambient is not None and args.ambient < args.modes + 2:
+        raise UsageError(f"--ambient {args.ambient} must be at least --modes + 2 = {args.modes + 2}")
     params = deformation.DeformationParams(
         eps=args.eps,
         p=args.p,
@@ -218,6 +220,14 @@ def _count(text: str, least: int = 1) -> int:
         value = least - 1
     if value < least:
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return value
+
+
+def _power_of_two(text: str) -> int:
+    """argparse type of --max-index: a power of two >= 32, the sweep's N_max."""
+    value = _count(text, least=32)
+    if value & (value - 1):
+        raise argparse.ArgumentTypeError(f"expected a power of two >= 32, got {text!r}")
     return value
 
 
@@ -274,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("deformation-check", _cmd_deformation, "quadratic identity and defect expansion")
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--modes", type=_count, default=256)
+    # the deformed compression of z is checked at depth 3, so the window needs more than 6 modes
+    p.add_argument("--modes", type=partial(_count, least=7), default=256)
     p.add_argument("--family", type=_family, default="paper")
 
     p = command("lemma-check", _cmd_lemma, "unitary-quantified lower bound for a(z)=z")
@@ -291,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-max", type=float, required=True)
     p.add_argument("--steps", type=partial(_count, least=2), default=8)
     p.add_argument("--family", type=_family, default="power")
-    p.add_argument("--max-index", type=int, default=65536)
+    p.add_argument("--max-index", type=_power_of_two, default=65536)
 
     return parser
 
@@ -316,7 +327,7 @@ def dispatch(args) -> int:
                 "tool_version": __version__,
             }
             write_report(report, args.out)
-    except (RuntimeError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
+    except (RuntimeError, np.linalg.LinAlgError, FloatingPointError) as exc:  # LinAlgError is a ValueError
         print(f"oil: internal check failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # reporting.UsageError among them

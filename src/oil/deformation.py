@@ -187,17 +187,22 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     [0, M-1], with U acting on the first N modes and extended by the
     identity.  Records per-mode gaps, the diagonal identities of the
     S-term decomposition of L^* L, and the truncated p-norm margin.
+
+    U is unitary, so L and U L = a U - U D, D = (P+T) a (P+T), have the
+    same singular values and the same column norms; U L is formed by index
+    arithmetic, with no m x m product: a U is U's rows moved down by one,
+    and U D is U's columns moved left with weights shift[k].  The gaps are
+    U L's first N squared column norms, and s1 is ||a U e_k||^2, which is
+    ||U e_k||^2 for k < N since U e_k lives on the first N <= M - 2 modes.
     """
     n, m = params.N, params.M
     lam = lambda_sequence(params.eps, params.family, m)
     q = 1.0 + lam  # P + T, P = identity on the Hardy window
     shift = q[1:] * q[:-1]  # (P+T) a (P+T) sends mode k to mode k+1 with weight shift[k]
-    deformed = np.zeros((m, m), dtype=complex)
-    np.fill_diagonal(deformed[1:], shift)
 
     coeff = 1.0 + lam[1 : n + 1] + lam[:n] + lam[:n] * lam[1 : n + 1]
     rhs = schatten_norm(SingularSpectrum(lam[:n]), params.p)
-    s2 = shift[:n] ** 2  # diag of deformed^* deformed: each column holds one entry
+    s2 = shift[:n] ** 2  # squared column norms of D: each column holds one entry
     s2_res = float(np.max(np.abs(s2 - coeff**2)))
 
     min_gaps = np.full(n, np.inf)
@@ -206,19 +211,17 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     for t in range(trials):
         u = np.eye(m, dtype=complex)
         u[:n, :n] = haar_unitary(n, params.seed ^ t)
-        u_star_shift = np.zeros_like(u)  # U^* a: the columns of U^* moved one to the left
-        u_star_shift[:, :-1] = u.conj().T[:, 1:]
-        conj = u_star_shift @ u
-        big_l = conj - deformed
+        ul = np.zeros_like(u)
+        ul[1:] = u[:-1]  # a U
+        ul[:, :-1] -= u[:, 1:] * shift  # - U D
 
-        # the first n diagonal entries of the Grams L^* L and conj^* conj are squared column norms
-        gaps = np.sum(np.abs(big_l[:, :n]) ** 2, axis=0) - lam[:n] ** 2
+        gaps = np.sum(np.abs(ul[:, :n]) ** 2, axis=0) - lam[:n] ** 2
         min_gaps = np.minimum(min_gaps, gaps)
 
-        s1 = np.sum(np.abs(conj[:, :n]) ** 2, axis=0)
+        s1 = np.sum(np.abs(u[:n, :n]) ** 2, axis=0)
         s1_res = max(s1_res, float(np.max(np.abs(s1 - 1.0))))
 
-        mu = np.linalg.svd(big_l, compute_uv=False)
+        mu = np.linalg.svd(ul, compute_uv=False)
         lhs_norms.append(schatten_norm(SingularSpectrum(mu), params.p))
 
     return LemmaReport(

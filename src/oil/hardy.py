@@ -122,13 +122,22 @@ class Window:
         return slice(0, -self.lo)
 
 
+class _Stated(tuple):
+    """Blocks of hardy's builders, finite by construction, so WindowedOperator does not scan them."""
+
+
 @dataclass(frozen=True)
 class WindowedOperator:
     """Operator on a Fourier-mode window, held as its nonzero blocks (rows, cols, array).
 
     The blocks lie in disjoint rows and columns of range(d); a d x d array in
     place of the tuple is one block that covers the window.  Each block's
-    shape and finiteness are checked once, at build, and it is kept read-only.
+    shape is checked at build, and it is kept read-only.  Finiteness is
+    checked where the numbers enter: make_symbol checks amplitudes,
+    multiplication_operator its 2d - 1 coefficients, and a caller's own
+    matrix is scanned here, once, at build; a later write through the
+    caller's array is not seen.  The blocks of hardy's builders are read
+    from checked coefficients, so they are not scanned again.
     """
 
     window: Window
@@ -142,7 +151,7 @@ class WindowedOperator:
             x = np.asarray(x, dtype=complex).view()  # a view, so the caller's array keeps its flags
             if x.shape != (len(index[rows]), len(index[cols])):
                 raise ValueError(f"block shape {x.shape} != {len(index[rows]), len(index[cols])}")
-            if not np.isfinite(x).all():
+            if not isinstance(blocks, _Stated) and not np.isfinite(x).all():
                 raise ValueError("non-finite matrix entries")
             x.flags.writeable = False
             checked.append((rows, cols, x))
@@ -177,24 +186,31 @@ def guard_slice(w: Window, depth: int, bandwidth: int) -> slice:
 
 
 def multiplication_operator(a: Symbol, w: Window) -> WindowedOperator:
-    """Truncation of multiplication by a: entry (j,k) is the coefficient at j-k."""
+    """Truncation of multiplication by a: entry (j,k) is the coefficient at j-k.
+
+    Its 2d - 1 coefficients are checked finite here, once: a Symbol made
+    directly, not by make_symbol, can hold any amplitude.
+    """
     d = w.dimension
     c = np.zeros(2 * d - 1, dtype=complex)
     for deg, amp in a.coefficients:
         if abs(deg) < d:
             c[d - 1 - deg] += amp  # += on +0.0 stores +0.0 for an amplitude's -0.0 part
-    return WindowedOperator(w, sliding_window_view(c, d)[::-1])  # read-only; row j starts at c[d-1-j]
+    if not np.isfinite(c).all():
+        raise ValueError("non-finite matrix entries")
+    view = sliding_window_view(c, d)[::-1]  # read-only; row j starts at c[d-1-j]
+    return WindowedOperator(w, _Stated(((slice(None), slice(None), view),)))
 
 
 def hardy_projection(w: Window) -> WindowedOperator:
     """Diagonal projection onto the nonnegative Fourier modes of the window."""
-    return WindowedOperator(w, ((w.hardy, w.hardy, np.eye(w.hi + 1, dtype=complex)),))
+    return WindowedOperator(w, _Stated(((w.hardy, w.hardy, np.eye(w.hi + 1, dtype=complex)),)))
 
 
 def toeplitz_compress(a: Symbol, w: Window) -> WindowedOperator:
     """Toeplitz compression P M_a P on the window: M_a's Hardy quadrant."""
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, ((w.hardy, w.hardy, m[w.hardy, w.hardy]),))
+    return WindowedOperator(w, _Stated(((w.hardy, w.hardy, m[w.hardy, w.hardy]),)))
 
 
 def _require_two_sided(w: Window, what: str):
@@ -213,14 +229,14 @@ def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     _require_two_sided(w, "hankel_operator")
     m = multiplication_operator(a, w).entries
     n, h = _corners(w, a.bandwidth)
-    return WindowedOperator(w, ((n, h, m[n, h]),))
+    return WindowedOperator(w, _Stated(((n, h, m[n, h]),)))
 
 
 def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
     """Compression (1-P) M_a (1-P) to the strictly negative modes: M_a's negative quadrant."""
     _require_two_sided(w, "complement_compression")
     m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, ((w.negative, w.negative, m[w.negative, w.negative]),))
+    return WindowedOperator(w, _Stated(((w.negative, w.negative, m[w.negative, w.negative]),)))
 
 
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
@@ -228,7 +244,7 @@ def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     _require_two_sided(w, "projection_commutator")
     m = multiplication_operator(a, w).entries
     n, h = _corners(w, a.bandwidth)
-    return WindowedOperator(w, ((h, n, m[h, n]), (n, h, np.subtract(0.0, m[n, h]))))
+    return WindowedOperator(w, _Stated(((h, n, m[h, n]), (n, h, np.subtract(0.0, m[n, h])))))
 
 
 def splitting_defect(a: Symbol, b: Symbol, w: Window):
@@ -241,6 +257,8 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     Every Toeplitz compression is zero off the Hardy quadrant, so both
     defects are formed on it alone, as their one block.  The adjoint defect
     is zero with no rounding on every window: both terms read a's coefficients.
+    T_a T_b can overflow where T_{ab}'s coefficients do not; it then raises
+    FloatingPointError, so both blocks are finite.
     """
     bw = a.bandwidth + b.bandwidth
     guard_slice(w, 2, bw)
@@ -249,7 +267,10 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     tb = multiplication_operator(b, w).entries[q, q]
     tab = multiplication_operator(symbol_product(a, b), w).entries[q, q]
     tconj = multiplication_operator(symbol_conjugate(a), w).entries[q, q]
-    return WindowedOperator(w, ((q, q, tab - ta @ tb),)), WindowedOperator(w, ((q, q, tconj - ta.conj().T),))
+    with np.errstate(over="raise", invalid="raise"):
+        product = tab - ta @ tb
+    adjoint = tconj - ta.conj().T
+    return WindowedOperator(w, _Stated(((q, q, product),))), WindowedOperator(w, _Stated(((q, q, adjoint),)))
 
 
 def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:

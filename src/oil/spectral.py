@@ -73,7 +73,7 @@ def singular_values(A: WindowedOperator | np.ndarray) -> SingularSpectrum:
     d, and only the nonzero rows and columns of a block or array go to the
     SVD (hardy._svdvals); no d x d matrix is formed for a block operator.
     """
-    if isinstance(A, WindowedOperator):  # its blocks were checked finite when it was built
+    if isinstance(A, WindowedOperator):  # finite blocks: checked at build, or built from checked coefficients
         d = A.window.dimension
         s = np.concatenate([_svdvals(x) for _, _, x in A.blocks] + [np.zeros(d)])
         return SingularSpectrum(np.sort(s)[::-1][:d])

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import re
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -178,6 +179,9 @@ class TestDispatch:
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "1"],
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--family", "bogus"],
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--with-lemma"],
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--max-index", "100"],
+        ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "8", "--ambient", "4"],
+        ["deformation-check", "--eps", "5", "--modes", "4"],
     ])
     def test_bad_numbers_and_zero_counts_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -188,6 +192,17 @@ class TestDispatch:
         names = [word.lstrip("-") for word in argv if word.startswith("--")]
         assert any(re.search(rf"\b{re.escape(name)}\b", captured.err) for name in names)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--max-index", "100"], "--max-index"),
+        (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "8", "--ambient", "4"], "--ambient"),
+        (["deformation-check", "--eps", "5", "--modes", "4"], "--modes"),
+    ])
+    def test_library_limits_name_the_option_that_set_them(self, argv, option, capsys):
+        # each value breaks a limit the library states under its own parameter name
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2", "--max-index", "1024"],
@@ -321,6 +336,36 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("oil: non-finite amplitude (inf+0j) at degree -2")
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # T_a T_b overflows next to the window's top edge, where its sum misses the
+        # term that keeps ab's coefficients finite (test_strided_toeplitz has the numbers)
+        (["defect", "--symbol-a", "{a}", "--symbol-b", "{b}", "--lo", "-20", "--hi", "20"], 1,
+         "oil: internal check failed: overflow encountered in matmul"),
+        (["defect", "--symbol-a", "{a}", "--symbol-b", "{a}", "--lo", "-20", "--hi", "20"], 2,
+         "oil: non-finite amplitude"),
+        # the spectra of M_a and T_a reach sum |a_k| = 3e308, beyond the float range
+        (["spectrum", "--symbol", "{big}", "--op", "mult", "--lo", "-20", "--hi", "20"], 2,
+         "oil: singular values must be finite and nonnegative"),
+        (["spectrum", "--symbol", "{big}", "--op", "toeplitz", "--lo", "-20", "--hi", "20"], 2,
+         "oil: singular values must be finite and nonnegative"),
+    ])
+    def test_overflow_from_finite_symbols_never_passes(self, argv, code, message, tmp_path, capsys):
+        files = {
+            "a": "[[-2, 1e154, 0], [-1, 1e154, 0], [0, -0.8e154, 0]]",
+            "b": "[[0, 1e154, 0], [1, -1e154, 0], [2, 0.8e154, 0]]",
+            "big": "[[-1, 1e308, 0], [0, 1e308, 0], [1, 1e308, 0]]",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [arg.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for arg in argv]
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning must not escape as a traceback
+            assert main(argv + ["--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert "PASS" not in captured.out and "Traceback" not in captured.err and not out.exists()
 
     def test_out_of_memory_is_reported_without_traceback(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

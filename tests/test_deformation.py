@@ -19,7 +19,7 @@ from oil import (
     toeplitz_compress,
 )
 from oil import deformation, spectral
-from oil.spectral import fit_exponent
+from oil.spectral import SingularSpectrum, fit_exponent, schatten_norm
 
 Z = make_symbol([(1, 1.0)])
 
@@ -263,6 +263,37 @@ class TestLemmaLowerBound:
         rep = lemma_lower_bound_report(params, trials)
         np.testing.assert_allclose(rep.min_gaps, min_gaps, rtol=1e-13, atol=1e-13)
         assert abs(rep.s1_max_residual - s1_res) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["paper_formula", "pure_power"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+    @pytest.mark.parametrize("extra", [2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 8, 128])
+    def test_report_matches_the_dense_formula(self, n, extra, p, family):
+        # the dense reference: L = U^* a U - (P+T) a (P+T) by m x m products, a(z) = z
+        params = DeformationParams(eps=0.4, p=p, family=family, N=n, M=n + extra, seed=9)
+        m, trials = n + extra, 2
+        lam = lambda_sequence(0.4, family, m)
+        q = np.diag(1.0 + lam).astype(complex)
+        shift = np.eye(m, k=-1).astype(complex)
+        min_gaps, lhs_norms, s1_res = np.full(n, np.inf), [], 0.0
+        for t in range(trials):
+            u = np.eye(m, dtype=complex)
+            u[:n, :n] = haar_unitary(n, params.seed ^ t)
+            conj = u.conj().T @ shift @ u
+            big_l = conj - q @ shift @ q
+            min_gaps = np.minimum(min_gaps, np.sum(np.abs(big_l[:, :n]) ** 2, axis=0) - lam[:n] ** 2)
+            s1_res = max(s1_res, float(np.max(np.abs(np.sum(np.abs(conj[:, :n]) ** 2, axis=0) - 1.0))))
+            mu = np.linalg.svd(big_l, compute_uv=False)
+            lhs_norms.append(schatten_norm(SingularSpectrum(mu), p))
+        rep = lemma_lower_bound_report(params, trials)
+
+        def close(got, want):  # relative above 1, absolute below: s1 and the gaps can be rounding-sized
+            return np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+        assert close(rep.min_gaps, min_gaps)
+        assert close(rep.lhs_norms, lhs_norms)
+        assert close(rep.s1_max_residual, s1_res)
+        assert rep.trials == trials and len(rep.min_gaps) == n
 
     @pytest.mark.parametrize("eps, p", [
         (np.nan, 2.0), (np.inf, 2.0), (0.0, 2.0), (0.4, np.nan), (0.4, np.inf), (0.4, 0.5),

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oil import (
+    Symbol,
     Window,
     WindowedOperator,
     complement_compression,
@@ -169,11 +170,13 @@ def _peak_bytes(fn, *args) -> int:
 
 
 def test_memory_of_the_view_and_the_commutator():
-    w = Window(-1024, 1024)  # d = 2049: one complex d x d matrix is 64 MiB
+    # d = 2049: one complex d x d matrix is 64 MiB, and a scan of M_a's view a 4 MiB bool
+    # temporary; the 2d - 1 coefficients take 64 KiB, and every block below is a view of them
+    w = Window(-1024, 1024)
     a = seeded_symbol(32, seed=3)
     mib = 2**20
-    assert _peak_bytes(multiplication_operator, a, w) < 8 * mib
-    assert _peak_bytes(projection_commutator, a, w) < 2 * 64 * mib
+    for builder in BUILDERS.values():
+        assert _peak_bytes(builder, a, w) < mib, builder.__name__
 
 
 @pytest.mark.parametrize("strided", [False, True])
@@ -186,3 +189,20 @@ def test_windowed_operator_rejects_non_finite_entries(bad, strided):
     x[2, 5] = bad
     with pytest.raises(ValueError, match="^non-finite matrix entries$"):
         WindowedOperator(w, x)
+
+
+def test_coefficients_are_checked_where_a_symbol_skips_make_symbol():
+    a = Symbol(((0, 1.0 + 0j), (2, complex(np.nan, 0.0))))  # made directly, so unchecked
+    for builder in BUILDERS.values():
+        with pytest.raises(ValueError, match="^non-finite matrix entries$"):
+            builder(a, Window(-5, 5))
+
+
+def test_splitting_defect_raises_where_t_a_t_b_overflows():
+    # ab's coefficient at 0 is a_{-2} b_2 + a_{-1} b_1 + a_0 b_0 = (0.8 - 1 - 0.8)e308, finite;
+    # next to the top edge T_a T_b misses the first term, and -1.8e308 is past the float range
+    a = make_symbol([(-2, 1e154), (-1, 1e154), (0, -0.8e154)])
+    b = make_symbol([(0, 1e154), (1, -1e154), (2, 0.8e154)])
+    assert all(np.isfinite(amp) for _, amp in symbol_product(a, b).coefficients)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        splitting_defect(a, b, Window(-20, 20))
