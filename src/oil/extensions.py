@@ -1,12 +1,11 @@
-"""Extension arithmetic at matrix level: interleaving isometries, the
-sum of extensions, and the inverse-extension identity.
+"""Extension arithmetic by index maps: the interleaving, the sum of
+extensions, and the inverse-extension identity.
 
-The even/odd interleaving realizes the pair of isometries exactly on a
-finite window (0/1 permutation columns), so the relations V_i^* V_i = 1
-and V_1 V_1^* + V_2 V_2^* = 1 hold with no rounding at all.  The
-doubled-window inverse identity is evaluated by index arithmetic: its
-permutation U is an involution of the doubled window's indices and its
-projections are 0/1 masks, so its U and P2 relations are exact as well.
+The isometry pair is stated once, as the index maps EVEN (V1 e_k = e_2k)
+and ODD (V2 e_k = e_2k+1), and the swap of the two copies is 2k <-> 2k+1;
+the dense V1, V2 and swap are derived from them.  The doubled window's U is
+an involution of indices and its projections are 0/1 masks.  So every
+relation here holds with no rounding, and each residual is a count.
 """
 
 from __future__ import annotations
@@ -25,6 +24,9 @@ from .hardy import (
 )
 from .spectral import IdealSpec, singular_values, summability_classify
 
+EVEN = slice(0, None, 2)  # V1 e_k = e_2k: the modes of the first summand
+ODD = slice(1, None, 2)  # V2 e_k = e_2k+1: the modes of the second
+
 
 @dataclass(frozen=True)
 class IsometryPair:
@@ -35,24 +37,33 @@ class IsometryPair:
 
 
 def interleaving_isometries(N: int) -> IsometryPair:
-    """V1 e_k = e_{2k}, V2 e_k = e_{2k+1}; exact 0/1 matrices."""
+    """V1 and V2 as exact 0/1 matrices: the EVEN and ODD columns of the 2N identity."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = np.arange(N)
-    v1 = np.zeros((2 * N, N), dtype=complex)
-    v2 = np.zeros((2 * N, N), dtype=complex)
-    v1[2 * k, k] = 1.0
-    v2[2 * k + 1, k] = 1.0
-    return IsometryPair(v1, v2)
+    eye = np.eye(2 * N, dtype=complex)
+    return IsometryPair(eye[:, EVEN], eye[:, ODD])
+
+
+def swap_order(N: int) -> np.ndarray:
+    """The swap's index map 2k <-> 2k+1, which exchanges the EVEN and ODD copies."""
+    return np.arange(2 * N) ^ 1
 
 
 def interleaving_swap(N: int) -> np.ndarray:
-    """Permutation exchanging the even and odd interleaved copies."""
-    k = np.arange(N)
-    s = np.zeros((2 * N, 2 * N), dtype=complex)
-    s[2 * k, 2 * k + 1] = 1.0
-    s[2 * k + 1, 2 * k] = 1.0
-    return s
+    """Permutation matrix exchanging the interleaved copies: the identity's rows in swap order."""
+    return np.eye(2 * N, dtype=complex)[swap_order(N)]
+
+
+def isometry_relations(N: int) -> int:
+    """Failures of V_i^* V_i = 1, V1 V1^* + V2 V2^* = 1 and V1^* V2 = 0, counted on the index maps.
+
+    A slice repeats no index, so the first fails only at block modes that a
+    map leaves without an image, and the others at the 2N modes that EVEN
+    and ODD do not hit exactly once: zero iff the ranges are complementary.
+    """
+    images = [np.arange(2 * N)[m] for m in (EVEN, ODD)]
+    hits = np.bincount(np.concatenate(images), minlength=2 * N)
+    return sum(abs(N - x.size) for x in images) + int(np.count_nonzero(hits != 1))
 
 
 def extension_sum(A: WindowedOperator, B: WindowedOperator) -> WindowedOperator:
@@ -61,8 +72,8 @@ def extension_sum(A: WindowedOperator, B: WindowedOperator) -> WindowedOperator:
         raise ValueError(f"window mismatch: {A.window} vs {B.window}")
     n = A.window.dimension
     out = np.zeros((2 * n, 2 * n), dtype=complex)
-    out[::2, ::2] = A.entries  # V1 A V1^*: V1 sends mode k to mode 2k
-    out[1::2, 1::2] = B.entries  # V2 B V2^*: V2 sends mode k to mode 2k+1
+    out[EVEN, EVEN] = A.entries
+    out[ODD, ODD] = B.entries
     return WindowedOperator(Window(0, 2 * n - 1), out)
 
 
@@ -83,10 +94,11 @@ def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, floa
     (depth 3) of both copies at which (M_a + 0) = U P2 U (M_a + M_a) U P2 U
     fails.  All three are exact: 0.0 when the identity holds.  Both sides
     are block diagonal, so the last count is taken on the two diagonal
-    blocks: M_a = c1 M_a c1 and 0 = c2 M_a c2, with c1 and c2 the mask
-    U P2 U on the guard rows of each copy.
+    blocks, M_a = c1 M_a c1 and 0 = c2 M_a c2 with c1, c2 the mask U P2 U
+    on each copy, and only over M_a's band: its O(d bandwidth) entries.
     """
-    sl = guard_slice(w, 3, a.bandwidth)
+    bw = a.bandwidth
+    sl = guard_slice(w, 3, bw)
     d = w.dimension
     sigma, p2 = _doubled_window(w)
     i = np.arange(2 * d)
@@ -94,9 +106,13 @@ def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, floa
     r_u = float(np.count_nonzero(sigma[sigma] != i))
     r_p = float(np.count_nonzero(upu != (i < d)))
 
-    block = multiplication_operator(a, w).entries[sl, sl]
-    c1, c2 = upu[:d][sl], upu[d:][sl]
-    r_id = np.count_nonzero(block != c1[:, None] * block * c1) + np.count_nonzero(c2[:, None] * block * c2)
+    rows = np.arange(sl.start, sl.stop)[:, None]
+    cols = rows + np.arange(-bw, bw + 1)  # within the window: the guard is 3 bandwidths wide
+    m = multiplication_operator(a, w).entries
+    nonzero = (m[rows, cols] != 0) & (cols >= sl.start) & (cols < sl.stop)
+    c1, c2 = upu[:d], upu[d:]
+    r_id = np.count_nonzero(nonzero & ~(c1[rows] & c1[cols]))
+    r_id += np.count_nonzero(nonzero & c2[rows] & c2[cols])
     return r_u, r_p, float(r_id)
 
 

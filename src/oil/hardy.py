@@ -287,13 +287,15 @@ def _svdvals(x: np.ndarray) -> np.ndarray:
     The nonzero singular values of a matrix are those of the block of its
     nonzero rows and columns, so only that block goes to the SVD.  The
     block is a copy, and + 0.0 turns its -0.0 entries into +0.0, since the
-    SVD reads zero signs.
+    SVD reads zero signs.  x is finite, so a non-finite value is an overflow.
     """
     nonzero = x != 0
     block = x[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
     block += 0.0
     s = np.zeros(min(x.shape))
     s[: min(block.shape)] = np.linalg.svd(block, compute_uv=False)
+    if not np.isfinite(s).all():
+        raise FloatingPointError(f"overflow: a singular value of a finite {x.shape} block is {s.max()}")
     return s
 
 

@@ -344,11 +344,12 @@ class TestDispatch:
          "oil: internal check failed: overflow encountered in matmul"),
         (["defect", "--symbol-a", "{a}", "--symbol-b", "{a}", "--lo", "-20", "--hi", "20"], 2,
          "oil: non-finite amplitude"),
-        # the spectra of M_a and T_a reach sum |a_k| = 3e308, beyond the float range
-        (["spectrum", "--symbol", "{big}", "--op", "mult", "--lo", "-20", "--hi", "20"], 2,
-         "oil: singular values must be finite and nonnegative"),
-        (["spectrum", "--symbol", "{big}", "--op", "toeplitz", "--lo", "-20", "--hi", "20"], 2,
-         "oil: singular values must be finite and nonnegative"),
+        # the spectra of M_a and T_a reach sum |a_k| = 3e308, beyond the float range,
+        # so the SVD of their finite blocks overflows
+        (["spectrum", "--symbol", "{big}", "--op", "mult", "--lo", "-20", "--hi", "20"], 1,
+         "oil: internal check failed: overflow"),
+        (["spectrum", "--symbol", "{big}", "--op", "toeplitz", "--lo", "-20", "--hi", "20"], 1,
+         "oil: internal check failed: overflow"),
     ])
     def test_overflow_from_finite_symbols_never_passes(self, argv, code, message, tmp_path, capsys):
         files = {
@@ -425,6 +426,11 @@ PLANTED_FAULTS = {
                           lambda real: lambda d, a, b: tuple(r + 1e-6 for r in real(d, a, b))),
     "sum-demo": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
                  lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
+    # B and B^T share a spectrum, so spectrum_merge passes: only the swap count sees it
+    "sum-demo-transpose": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
+                           lambda real: lambda a, b: real(a, WindowedOperator(b.window, b.entries.T))),
+    # V2 = V1: the maps hit the even modes twice and the odd ones never
+    "sum-demo-maps": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "ODD", lambda real: extensions.EVEN),
     "inverse-check": (["inverse-check"], extensions, "inverse_identity_residuals",
                       lambda real: lambda a, w: tuple(r + 1.0 for r in real(a, w))),
     "deformation-check": (["deformation-check", "--eps", "0.4", "--modes", "8"], deformation,
@@ -454,19 +460,42 @@ def test_every_checked_subcommand_has_a_planted_fault():
     assert {f[0][0] for f in PLANTED_FAULTS.values()} == set(commands) - UNCHECKED
 
 
-def test_conjugate_fault_fails_through_adjoint_defect_alone(symbol_file, tmp_path, monkeypatch):
-    argv, module, name, fault = PLANTED_FAULTS["defect-adjoint"]
+def _clean_and_faulted(fault_id, symbol_file, tmp_path, monkeypatch):
+    """The reports of a PLANTED_FAULTS entry's argv before and after its fault is planted."""
+    argv, module, name, fault = PLANTED_FAULTS[fault_id]
     out = tmp_path / "r.json"
     argv = [symbol_file if a == "SYMBOL" else a for a in argv] + ["--out", str(out)]
     assert main(argv) == 0
     clean = json.loads(out.read_text())
     monkeypatch.setattr(module, name, fault(getattr(module, name)))
     assert main(argv) == 1
-    faulted = json.loads(out.read_text())
+    return clean, json.loads(out.read_text())
+
+
+def test_conjugate_fault_fails_through_adjoint_defect_alone(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("defect-adjoint", symbol_file, tmp_path, monkeypatch)
     # the nudged degree -1 lies on one diagonal of the 41 x 41 Hardy quadrant: 40 entries
     assert faulted["residuals"].pop("adjoint_defect") == 40.0
     assert clean["residuals"].pop("adjoint_defect") == 0.0
     assert faulted["residuals"] == clean["residuals"] and faulted["results"] == clean["results"]
+
+
+def test_transposed_summand_fails_through_swap_conjugation_alone(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("sum-demo-transpose", symbol_file, tmp_path, monkeypatch)
+    # A and B differ from their transposes at their 12 off-diagonal entries each
+    assert faulted["residuals"].pop("swap_conjugation") == 24.0
+    assert clean["residuals"].pop("swap_conjugation") == 0.0
+    # B^T has B's spectrum, so the merge still passes; its SVD rounds differently
+    assert faulted["residuals"].pop("spectrum_merge") <= TOLERANCES["numerical"]
+    clean["residuals"].pop("spectrum_merge")
+    assert faulted.pop("pass") is False and clean.pop("pass") is True
+    assert faulted == clean
+
+
+def test_colliding_maps_fail_through_isometry_relations(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("sum-demo-maps", symbol_file, tmp_path, monkeypatch)
+    assert clean["residuals"]["isometry_relations"] == 0.0
+    assert faulted["residuals"]["isometry_relations"] == 8.0  # the 2N = 8 modes, each hit twice or never
 
 
 @pytest.mark.parametrize("argv", [

@@ -109,10 +109,11 @@ def test_deformed_compression_matches_dense_products(lo, hi, bw, family):
 
 
 def dense_inverse_identity(a, w: Window):
-    """The inverse identity's residuals by the dense products of the doubled window.
+    """The inverse identity's three counts by the dense products of the doubled window.
 
-    (||U^2 - 1||, ||U P2 U - (1 + 0)||, ||(M_a + 0) - U P2 U (M_a + M_a) U P2 U||),
-    the last on the guard-valid entries (depth 3) of both copies.
+    The rows at which U^2 = 1 and U P2 U = 1 + 0 fail, and the guard-valid
+    entries (depth 3) of both copies at which
+    (M_a + 0) = U P2 U (M_a + M_a) U P2 U fails.
     """
     sl = guard_slice(w, 3, a.bandwidth)
     d = w.dimension
@@ -122,25 +123,36 @@ def dense_inverse_identity(a, w: Window):
     u = np.block([[p, q], [q, p]])
     p2 = np.block([[p, z], [z, q]])
     corner = np.block([[np.eye(d), z], [z, z]])
-    r_u = np.linalg.norm(u @ u - np.eye(2 * d), 2)
+    r_u = np.count_nonzero((u @ u - np.eye(2 * d)).any(axis=1))
     upu = u @ p2 @ u
-    r_p = np.linalg.norm(upu - corner, 2)
+    r_p = np.count_nonzero((upu - corner).any(axis=1))
     m = dense_multiplication(a, w)
     resid = np.block([[m, z], [z, z]]) - upu @ np.block([[m, z], [z, m]]) @ upu
     idx = np.r_[np.arange(sl.start, sl.stop), d + np.arange(sl.start, sl.stop)]
-    return float(r_u), float(r_p), float(np.linalg.norm(resid[np.ix_(idx, idx)], 2))
+    return float(r_u), float(r_p), float(np.count_nonzero(resid[np.ix_(idx, idx)]))
+
+
+def dense_identity_count(a, w: Window, upu: np.ndarray) -> float:
+    """The identity's count from a mask U P2 U, on M_a's whole guard-valid d x d block of each copy."""
+    sl = guard_slice(w, 3, a.bandwidth)
+    d = w.dimension
+    block = dense_multiplication(a, w)[sl, sl]
+    c1, c2 = upu[:d][sl], upu[d:][sl]
+    return float(np.count_nonzero(block != c1[:, None] * block * c1) + np.count_nonzero(c2[:, None] * block * c2))
 
 
 # two-sided, lo = -1, Hardy-only; dimension 6 * bandwidth + 1 is the edge of the depth-3 guard
 INVERSE_CASES = [(-12, 60, 1), (-20, 20, 2), (-9, 70, 5), (-1, 24, 1), (-1, 40, 3), (0, 30, 2),
                  (-3, 3, 1), (-10, 20, 5), (-1, 17, 3), (0, 18, 3)]
+# lo = -1 at the edge of the depth-3 guard, one guard-valid row, for every bandwidth 1 ... 16
+INVERSE_CASES += [(-1, 6 * bw - 1, bw) for bw in range(1, 17)]
 
 
 @pytest.mark.parametrize("lo, hi, bw", INVERSE_CASES)
 def test_inverse_identity_matches_dense_products(lo, hi, bw):
     w = Window(lo, hi)
     a = seeded_symbol(bw, seed=7 * bw + hi)
-    assert inverse_identity_residuals(a, w) == dense_inverse_identity(a, w)
+    assert inverse_identity_residuals(a, w) == dense_inverse_identity(a, w) == (0.0, 0.0, 0.0)
 
 
 doubled_window = extensions._doubled_window
@@ -163,13 +175,22 @@ def _exchange_p(w):
     return sigma, ~p2  # P2 = (1-P) + P
 
 
+def _p_on_both_copies(w):
+    sigma, p2 = doubled_window(w)
+    d = w.dimension
+    return sigma, np.tile(p2[:d], 2)  # P2 = P + P: U P2 U changes at mode 0 within each copy
+
+
 # each mutant with the residual it must make nonzero: 0 for U^2 = 1, 1 for U P2 U = 1 + 0
 @pytest.mark.parametrize(
-    "mutant, broken", [(_unswap_first_mode, 1), (_not_an_involution, 0), (_exchange_p, 1)]
+    "mutant, broken", [(_unswap_first_mode, 1), (_not_an_involution, 0), (_exchange_p, 1), (_p_on_both_copies, 1)]
 )
 @pytest.mark.parametrize("lo, hi, bw", [case for case in INVERSE_CASES if case[0] < 0])
 def test_inverse_identity_mutants_leave_a_residual(monkeypatch, mutant, broken, lo, hi, bw):
     w = Window(lo, hi)
     a = seeded_symbol(bw, seed=7 * bw + hi)
+    sigma, p2 = mutant(w)
     monkeypatch.setattr(extensions, "_doubled_window", mutant)
-    assert inverse_identity_residuals(a, w)[broken] > 0.0
+    got = inverse_identity_residuals(a, w)
+    assert got[broken] > 0.0
+    assert got[2] == dense_identity_count(a, w, p2[sigma])  # the band holds every failing entry

@@ -21,6 +21,7 @@ from oil import (
     complement_compression,
     hankel_operator,
     hardy_projection,
+    inverse_identity_residuals,
     make_symbol,
     multiplication_operator,
     numerical_rank,
@@ -186,6 +187,13 @@ def test_spectrum_forms_no_window_matrix(build):
         assert singular_values(build(a, w)).values.shape == (w.dimension,)
 
     assert _peak_bytes(spectrum) < 32 * 2**20
+
+
+def test_inverse_identity_forms_no_window_matrix():
+    # d = 4097: one complex d x d temporary is 256 MiB; M_a's band here is 4091 x 7 entries
+    w = Window(-2048, 2048)
+    mix = make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)])
+    assert _peak_bytes(inverse_identity_residuals, mix, w) < 4 * 2**20
 
 
 def test_no_check_reads_a_filled_window_matrix(tmp_path, monkeypatch, capsys):
