@@ -17,20 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .hardy import (
-    Symbol,
-    Window,
-    WindowedOperator,
-    _opnorm,
-    guard_slice,
-    multiplication_operator,
-    symbol_product,
-)
+from .hardy import Symbol, Window, WindowedOperator, _schur_bound, guard_slice, symbol_product
 from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, fit_exponent
 from .spectral import schatten_norm, summability_classify
 
 FAMILIES = ("paper_formula", "pure_power")
+ONE = Symbol(((0, 1 + 0j),))  # the constant symbol 1, so that _band_product(a, w, ONE, bw) is M_a diag(w)
 
 
 @dataclass(frozen=True)
@@ -79,14 +73,18 @@ def lambda_sequence(eps: float, family: str, count: int) -> np.ndarray:
     return out
 
 
-def deformation_operator(lam, w: Window) -> WindowedOperator:
-    """Diagonal operator T z^k = lambda_k z^k on a Hardy-only window."""
+def deformation_operator(lam, w: Window) -> np.ndarray:
+    """Diagonal operator T z^k = lambda_k z^k on a Hardy-only window, held as its read-only diagonal."""
     if not w.is_hardy:
         raise ValueError("deformation operator lives on a Hardy-only window")
     lam = np.asarray(lam, dtype=float)
     if len(lam) < w.dimension:
         raise ValueError(f"need {w.dimension} eigenvalues, got {len(lam)}")
-    return WindowedOperator(w, np.diag(lam[: w.dimension]).astype(complex))
+    t = np.array(lam[: w.dimension])  # a copy, so the caller's array keeps its flags
+    if not np.isfinite(t).all():
+        raise ValueError("non-finite deformation eigenvalues")
+    t.flags.writeable = False
+    return t
 
 
 def quadratic_identity_residual(eps: float, w: Window) -> float:
@@ -103,50 +101,64 @@ def quadratic_identity_residual(eps: float, w: Window) -> float:
     return float(np.max(np.abs(lhs + inv)))
 
 
-def _p_plus_t(T: WindowedOperator, w: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of P and of Q = P + T on w, with T's diagonal at its Fourier modes."""
-    if T.window.hi < w.hi:
+def _p_plus_t(t: np.ndarray, w: Window) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q = P + T on w as vectors, with T's diagonal t at the window's Hardy modes."""
+    if len(t) <= w.hi:
         raise ValueError("deformation diagonal does not cover the window's Hardy modes")
-    if not T.window.is_hardy:
-        raise ValueError("deformation must live on a Hardy-only window")
-    p, t = np.zeros((2, w.dimension), dtype=complex)
-    p[w.hardy] = 1.0
-    t[w.hardy] = T.entries.diagonal()[: w.hi + 1]
-    return p, p + t
+    p = (w.modes >= 0).astype(float)
+    return p, p + np.pad(t[: w.hi + 1], (-w.lo, 0))
 
 
-def deformed_compression(T: WindowedOperator, a: Symbol, w: Window) -> WindowedOperator:
-    """Deformed Toeplitz compression (P+T) M_a (P+T) on the window."""
+def _band_view(v: np.ndarray, beta: int) -> np.ndarray:
+    """diag(v) on the right of a band, which holds entry (j, j + u) at [j, beta + u]: v[j + u] there, 0 off the window."""
+    return sliding_window_view(np.pad(v, beta), 2 * beta + 1)
+
+
+def _band_product(a: Symbol, w: np.ndarray, b: Symbol, beta: int) -> np.ndarray:
+    """Band of M_a diag(w) M_b on w's window, beta >= a.bandwidth + b.bandwidth, summed in symbol_product's order."""
+    out = np.zeros((len(w), 2 * beta + 1), dtype=complex)
+    shifted = _band_view(w, beta)  # a_m w_{j-m} b_n lies in entry (j, j - m - n)
+    for da, ca in a.coefficients:
+        for db, cb in b.coefficients:
+            out[:, beta - da - db] += ca * cb * shifted[:, beta - da]
+    return out * _band_view(np.ones(len(w)), beta)  # zero at the columns off the window
+
+
+def deformed_compression(T: np.ndarray, a: Symbol, w: Window) -> WindowedOperator:
+    """Deformed Toeplitz compression (P+T) M_a (P+T) on the window, filled from its band."""
     guard_slice(w, 3, a.bandwidth)
     _, q = _p_plus_t(T, w)
-    m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, q[:, None] * m * q)
+    bw, d = a.bandwidth, w.dimension
+    band = q[:, None] * _band_product(a, np.ones(d), ONE, bw) * _band_view(q, bw)
+    j, i = np.nonzero(band)
+    out = np.zeros((d, d), dtype=complex)
+    out[j, j + i - bw] = band[j, i]
+    return WindowedOperator(w, out)
 
 
-def deformation_defect_residuals(
-    T: WindowedOperator, a: Symbol, b: Symbol, w: Window
-) -> float:
-    """Residual of the four-term expansion of the deformed splitting defect.
+def deformation_defect_residuals(T: np.ndarray, a: Symbol, b: Symbol, w: Window) -> float:
+    """Schur bound on the residual of the four-term expansion of the deformed splitting defect.
 
     Compares tau_T(ab) - tau_T(a) tau_T(b) against
     pi(ab) Q^2 (P - Q^2) + [Q, pi(ab)] Q + Q pi(a) [pi(b), Q^2] Q
-    + [pi(ab), Q] Q^3 with Q = P + T, on guard-valid entries (depth 4).
+    + [pi(ab), Q] Q^3 with Q = P + T, on guard-valid entries (depth 4),
+    every operator on its band of half-width bw_a + bw_b.
     """
     bw = a.bandwidth + b.bandwidth
     sl = guard_slice(w, 4, bw)
     p, q = _p_plus_t(T, w)
-    ma = multiplication_operator(a, w).entries
-    mb = multiplication_operator(b, w).entries
-    mab = multiplication_operator(symbol_product(a, b), w).entries
-    rows = q[:, None]
-    q2 = q * q
-    lhs = rows * mab * q - (rows * ma * q) @ (rows * mb * q)
-    term1 = mab * q2 * (p - q2)
-    term2 = (rows * mab - mab * q) * q
-    term3 = ((rows * ma) @ (mb * q2 - q2[:, None] * mb)) * q
-    term4 = (mab * q - rows * mab) * q2 * q
-    resid = lhs - (term1 + term2 + term3 + term4)
-    return _opnorm(resid[sl, sl])
+    ones, q2 = np.ones(w.dimension), q * q
+    rows, cq, cq2 = q[:, None], _band_view(q, bw), _band_view(q2, bw)  # Q on the left; Q, Q^2 on the right
+    mab = _band_product(symbol_product(a, b), ones, ONE, bw)
+    ma_q2_mb = _band_product(a, q2, b, bw)  # M_a Q^2 M_b
+    lhs = rows * mab * cq - rows * ma_q2_mb * cq
+    term1 = mab * cq2 * _band_view(p - q2, bw)
+    term2 = (rows * mab - mab * cq) * cq
+    term3 = rows * (_band_product(a, ones, b, bw) * cq2 - ma_q2_mb) * cq
+    term4 = (mab * cq - rows * mab) * cq2 * cq
+    resid = (lhs - (term1 + term2 + term3 + term4))[sl]
+    cols = np.arange(sl.start, sl.stop)[:, None] + np.arange(-bw, bw + 1)  # >= 0: sl starts 4 bw in
+    return _schur_bound(np.where((cols >= sl.start) & (cols < sl.stop), resid, 0.0), cols)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -156,7 +168,7 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     z = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
     qmat, r = np.linalg.qr(z)
-    d = np.diag(r)
+    d = r.diagonal()
     return qmat * (d / np.abs(d))
 
 

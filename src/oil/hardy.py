@@ -36,6 +36,16 @@ def _opnorm(x: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _schur_bound(x: np.ndarray, cols) -> float:
+    """Schur's bound sqrt(max row sum * max column sum) of |x|, never below x's largest singular value.
+
+    x[j, i] lies in row j and column cols[j, i]: np.arange(width) for a dense x, its columns for a band.
+    """
+    ax = np.abs(x)
+    col_sums = np.bincount(np.broadcast_to(cols, ax.shape).ravel(), weights=ax.ravel())
+    return float(np.sqrt(ax.sum(axis=1).max() * col_sums.max()))
+
+
 class GuardBandError(ValueError):
     """Window too small for the requested product depth and bandwidth."""
 

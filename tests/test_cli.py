@@ -206,7 +206,7 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2", "--max-index", "1024"],
-        ["deformation-check", "--eps", "0.4", "--modes", "8"],
+        ["deformation-check", "--eps", "0.4", "--modes", "9"],
         ["stinespring-check", "--maps", "1", "--pairs", "1"],
         ["sum-demo", "--size", "4", "--trials", "1"],
         ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"],
@@ -406,10 +406,11 @@ def test_within_keeps_each_kinds_rule(kind, rule):
     assert [bool(_within(v, kind)) for v in grid] == [rule(v, tol) for v in grid]
 
 
-def _nudged(sym):
-    """sym with the real part of its first amplitude moved up by one ulp."""
+def _nudged(sym, by=None):
+    """sym with the real part of its first amplitude moved up by `by`, or by one ulp."""
     (deg, amp), *rest = sym.coefficients
-    return hardy.make_symbol([(deg, complex(np.nextafter(amp.real, np.inf), amp.imag)), *rest])
+    up = np.nextafter(amp.real, np.inf) if by is None else amp.real + by
+    return hardy.make_symbol([(deg, complex(up, amp.imag)), *rest])
 
 
 # One library call per checked subcommand, called through its module by the
@@ -433,8 +434,11 @@ PLANTED_FAULTS = {
     "sum-demo-maps": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "ODD", lambda real: extensions.EVEN),
     "inverse-check": (["inverse-check"], extensions, "inverse_identity_residuals",
                       lambda real: lambda a, w: tuple(r + 1.0 for r in real(a, w))),
-    "deformation-check": (["deformation-check", "--eps", "0.4", "--modes", "8"], deformation,
+    "deformation-check": (["deformation-check", "--eps", "0.4", "--modes", "9"], deformation,
                           "quadratic_identity_residual", lambda real: lambda eps, w: real(eps, w) + 1e-9),
+    # M_ab off M_a M_b by 1e-9 at ab's first degree: only the defect expansion compares the two
+    "deformation-check-product": (["deformation-check", "--eps", "0.4", "--modes", "9"], deformation,
+                                  "symbol_product", lambda real: lambda a, b: _nudged(real(a, b), 1e-9)),
     "lemma-check": (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"], deformation,
                     "lemma_lower_bound_report",
                     lambda real: lambda params, trials: dataclasses.replace(
@@ -478,6 +482,16 @@ def test_conjugate_fault_fails_through_adjoint_defect_alone(symbol_file, tmp_pat
     assert faulted["residuals"].pop("adjoint_defect") == 40.0
     assert clean["residuals"].pop("adjoint_defect") == 0.0
     assert faulted["residuals"] == clean["residuals"] and faulted["results"] == clean["results"]
+
+
+def test_product_fault_fails_through_defect_expansion_alone(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("deformation-check-product", symbol_file, tmp_path, monkeypatch)
+    # for z and 1/z, M_ab - M_a M_b is 1e-9 on the diagonal; at 9 modes the guard band's one
+    # Hardy mode is 0, where Q (M_ab - M_a M_b) Q^3 weighs it by q_0^4 = 2^4
+    assert faulted["residuals"].pop("defect_expansion") == pytest.approx(1.6e-8, rel=1e-6)
+    assert clean["residuals"].pop("defect_expansion") <= TOLERANCES["identity"]
+    assert faulted.pop("pass") is False and clean.pop("pass") is True
+    assert faulted == clean
 
 
 def test_transposed_summand_fails_through_swap_conjugation_alone(symbol_file, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ from oil import (
     projection_commutator,
     toeplitz_compress,
 )
-from oil import extensions
+from oil import deformation, extensions
 from oil.extensions import interleaving_swap
 
 # (lo, hi): two-sided, the edge window lo = -1, and Hardy-only windows
@@ -106,6 +106,28 @@ def test_deformed_compression_matches_dense_products(lo, hi, bw, family):
     q = np.diag(qdiag.astype(complex))
     m = dense_multiplication(a, w)
     assert np.array_equal(deformed_compression(t, a, w).entries, q @ m @ q)
+
+
+@pytest.mark.parametrize("lo, hi, bw", [(-16, 60, 1), (-1, 40, 2), (-9, 70, 5), (0, 50, 3)])
+@pytest.mark.parametrize("family", ["paper_formula", "pure_power"])
+def test_band_product_matches_dense_products(lo, hi, bw, family):
+    # the defect expansion's lhs and its term 3 both hold M_a Q^2 M_b, which cancels
+    # in its residual, so only a dense reference can see a fault in the band product
+    w = Window(lo, hi)
+    lam = lambda_sequence(0.45, family, hi + 1)
+    qdiag = (w.modes >= 0) + np.where(w.modes >= 0, lam[np.maximum(w.modes, 0)], 0.0)
+    a = seeded_symbol(bw, seed=bw + hi)
+    for b in (seeded_symbol(bw + 1, seed=bw - lo), deformation.ONE):
+        beta = a.bandwidth + b.bandwidth
+        band = deformation._band_product(a, qdiag**2, b, beta)
+        dense = dense_multiplication(a, w) @ np.diag(qdiag**2) @ dense_multiplication(b, w)
+        j, i = np.indices(band.shape)
+        k = j + i - beta  # the column of band[j, i]
+        inside = (k >= 0) & (k < w.dimension)
+        assert np.all(band[~inside] == 0)
+        filled = np.zeros_like(dense)
+        filled[j[inside], k[inside]] = band[inside]
+        assert np.max(np.abs(filled - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def dense_inverse_identity(a, w: Window):

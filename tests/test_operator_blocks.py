@@ -19,9 +19,12 @@ from oil import (
     Window,
     WindowedOperator,
     complement_compression,
+    deformation_defect_residuals,
+    deformation_operator,
     hankel_operator,
     hardy_projection,
     inverse_identity_residuals,
+    lambda_sequence,
     make_symbol,
     multiplication_operator,
     numerical_rank,
@@ -194,6 +197,16 @@ def test_inverse_identity_forms_no_window_matrix():
     w = Window(-2048, 2048)
     mix = make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)])
     assert _peak_bytes(inverse_identity_residuals, mix, w) < 4 * 2**20
+
+
+def test_deformation_forms_no_window_matrix():
+    # 4096 modes: one complex d x d temporary on the expansion's window [-16, 4095] is 270 MB
+    t = deformation_operator(lambda_sequence(0.4, "paper_formula", 4096), Window(0, 4095))
+    both = make_symbol([(1, 1.0), (-1, 1.0)])
+    assert _peak_bytes(deformation_defect_residuals, t, both, both, Window(-16, 4095)) < 16 * 2**20
+    argv = ["deformation-check", "--eps", "0.4", "--modes", "4096"]
+    assert _peak_bytes(main, argv) < 16 * 2**20
+    assert main(argv) == 0
 
 
 def test_no_check_reads_a_filled_window_matrix(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,9 @@ whole matrix, the full d x d product T_ab - T_a T_b, and the Widom form
 P M_a (1-P) M_b P as d x d masked products with d x d norms.  `oil defect`
 reads each defect's block and min(bw_a, bw_b) negative modes; its report
 values must equal, bit for bit, those read from each defect's d x d fill
-with the Widom form over every negative mode.
+with the Widom form over every negative mode.  Its hankel_product and the
+deformation's defect_expansion are Schur bounds, checked here never to fall
+below the norm they bound.
 """
 
 import json
@@ -18,8 +20,13 @@ import pytest
 
 from oil import (
     Window,
+    deformation,
+    deformation_defect_residuals,
+    deformation_operator,
     guard_slice,
+    hardy,
     hankel_operator,
+    lambda_sequence,
     make_symbol,
     multiplication_operator,
     numerical_rank,
@@ -31,7 +38,7 @@ from oil import (
     toeplitz_compress,
 )
 from oil.cli import main
-from oil.hardy import RANK_CUTOFF, TOLERANCES, _opnorm
+from oil.hardy import RANK_CUTOFF, TOLERANCES, _opnorm, _schur_bound
 
 OPS = {
     "toeplitz": toeplitz_compress,
@@ -207,8 +214,8 @@ def filled_defect_results(a, b, w):
     """defect_norm, hankel_product and adjoint_defect by the d x d fill of each defect.
 
     Each defect's Hardy quadrant is read back from its d x d `entries`, the
-    Widom form runs over all -lo negative modes, and the adjoint defect is a
-    norm over the guard-valid Hardy modes.
+    Widom form runs over all -lo negative modes, its residual is bounded by
+    Schur's bound, and the adjoint defect is a norm over the guard-valid Hardy modes.
     """
     sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
     q, n = w.hardy, w.negative
@@ -216,9 +223,10 @@ def filled_defect_results(a, b, w):
     product, adjoint = splitting_defect(a, b, w)
     ma = multiplication_operator(a, w).entries
     mb = multiplication_operator(b, w).entries
+    resid = (product.entries[q, q] - ma[q, n] @ mb[n, q])[v, v]
     return (
         _opnorm(product.entries[q, q]),
-        _opnorm((product.entries[q, q] - ma[q, n] @ mb[n, q])[v, v]),
+        _schur_bound(resid, np.arange(resid.shape[1])),
         _opnorm(adjoint.entries[q, q][v, v]),
     )
 
@@ -251,8 +259,8 @@ class TestDefectCommand:
         a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
         out = tmp_path / "defect.json"
         assert main(defect_argv(a, b, lo, hi, tmp_path)) == 0
-        shapes = [x.shape for x in svd_calls]
-        assert len(shapes) == 2 and all(max(shape) <= hi + 1 for shape in shapes)
+        (shape,) = [x.shape for x in svd_calls]  # defect_norm's; hankel_product is a Schur bound
+        assert max(shape) <= hi + 1
 
         report = json.loads(out.read_text())
         norm, r_hankel, r_adjoint = dense_defect_results(a, b, Window(lo, hi))
@@ -285,3 +293,39 @@ class TestDefectCommand:
         captured = capsys.readouterr()
         assert captured.err == f"oil: window [{lo},{hi}] has no guard-valid Hardy mode: need hi >= {g}\n"
         assert captured.out == "" and not (tmp_path / "defect.json").exists()
+
+
+# the grid of the Schur bound: random symbols of bandwidth 1, 3 and 8 and mix.json on two
+# windows; at bandwidths 8 + 8 both windows keep a guard-valid Hardy mode at the defect
+# expansion's depth 4 (on [-64, 64] mode 0 alone)
+SCHUR_SYMBOLS = {
+    "bw1": seeded_symbol(1, seed=31),
+    "bw3": seeded_symbol(3, seed=33),
+    "bw8": seeded_symbol(8, seed=38),
+    "mix": make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)]),
+}
+SCHUR_WINDOWS = [(-64, 64), (-128, 128)]
+
+
+@pytest.mark.parametrize("lo, hi", SCHUR_WINDOWS)
+@pytest.mark.parametrize("name_a, name_b", [(x, y) for x in SCHUR_SYMBOLS for y in SCHUR_SYMBOLS])
+def test_schur_bound_is_never_below_the_norm(name_a, name_b, lo, hi, tmp_path, monkeypatch):
+    """Both callers' bounds, on the residuals they bound: `oil defect`'s dense one and the expansion's band."""
+    seen = []
+
+    def recorded(x, cols):
+        seen.append((x, np.broadcast_to(cols, x.shape), _schur_bound(x, cols)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(hardy, "_schur_bound", recorded)
+    monkeypatch.setattr(deformation, "_schur_bound", recorded)
+    a, b = SCHUR_SYMBOLS[name_a], SCHUR_SYMBOLS[name_b]
+    assert main(defect_argv(a, b, lo, hi, tmp_path)) == 0
+    t = deformation_operator(lambda_sequence(0.4, "paper_formula", hi + 1), Window(0, hi))
+    deformation_defect_residuals(t, a, b, Window(lo, hi))
+    (dense, dense_cols, dense_bound), (band, band_cols, band_bound) = seen
+    assert np.array_equal(dense_cols, np.broadcast_to(np.arange(dense.shape[1]), dense.shape))
+    assert dense_bound >= np.linalg.norm(dense, 2)
+    filled = np.zeros((band.shape[0], band_cols.max() + 1), dtype=complex)
+    np.put_along_axis(filled, band_cols, band, axis=1)  # each row's entries lie in distinct columns
+    assert band_bound >= np.linalg.norm(filled, 2)
