@@ -6,7 +6,6 @@ from .hardy import (
     Symbol,
     Window,
     WindowedOperator,
-    complement_compression,
     guard_slice,
     hankel_operator,
     hardy_projection,
@@ -14,7 +13,6 @@ from .hardy import (
     multiplication_operator,
     numerical_rank,
     projection_commutator,
-    rotation_equivariance_residual,
     splitting_defect,
     symbol_conjugate,
     symbol_product,
@@ -42,7 +40,6 @@ from .extensions import (
     extension_sum,
     interleaving_isometries,
     inverse_identity_residuals,
-    toeplitz_invertibility_report,
 )
 from .deformation import (
     DeformationParams,

@@ -188,6 +188,11 @@ def _cmd_lemma(args):
 
 
 def _cmd_sweep(args):
+    if not 0.0 < args.eps_min < args.eps_max < 2.0 / args.p:  # also rejects nan
+        raise UsageError(
+            f"the grid needs 0 < --eps-min < --eps-max < 2/p = {2.0 / args.p:g}, "
+            f"got --eps-min {args.eps_min} and --eps-max {args.eps_max}"
+        )
     grid = [
         args.eps_min + i * (args.eps_max - args.eps_min) / (args.steps - 1)
         for i in range(args.steps)
@@ -204,6 +209,18 @@ def _count(text: str, least: int = 1) -> int:
         value = least - 1
     if value < least:
         raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return value
+
+
+def _positive(text: str, least: float = 0.0) -> float:
+    """argparse type of --eps and --p: float(text), finite, > 0 and >= least."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not (0.0 < value < np.inf and value >= least):  # also rejects nan
+        bound = f">= {least:g}" if least else "> 0"
+        raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
     return value
 
 
@@ -267,21 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=int, default=60)
 
     p = command("deformation-check", _cmd_deformation, "quadratic identity and defect expansion")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_positive, required=True)
     # the defect expansion's depth-4 guard band on [-16, modes - 1] reaches mode 0, where Q starts, from 9 up
     p.add_argument("--modes", type=partial(_count, least=9), default=256)
     p.add_argument("--family", type=_family, default="paper")
 
     p = command("lemma-check", _cmd_lemma, "unitary-quantified lower bound for a(z)=z")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--p", type=partial(_positive, least=1.0), required=True)
+    p.add_argument("--eps", type=_positive, required=True)
     p.add_argument("--modes", type=_count, default=128)
     p.add_argument("--ambient", type=_count, default=None)
     p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--family", type=_family, default="paper")
 
     p = command("sweep", _cmd_sweep, "epsilon sweep with summability verdicts")
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--p", type=_positive, required=True)
     p.add_argument("--eps-min", type=float, required=True)
     p.add_argument("--eps-max", type=float, required=True)
     p.add_argument("--steps", type=partial(_count, least=2), default=8)

@@ -14,15 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import (
-    Symbol,
-    Window,
-    WindowedOperator,
-    guard_slice,
-    multiplication_operator,
-    projection_commutator,
-)
-from .spectral import IdealSpec, singular_values, summability_classify
+from .hardy import Symbol, Window, WindowedOperator, guard_slice, multiplication_operator
 
 EVEN = slice(0, None, 2)  # V1 e_k = e_2k: the modes of the first summand
 ODD = slice(1, None, 2)  # V2 e_k = e_2k+1: the modes of the second
@@ -115,22 +107,3 @@ def inverse_identity_residuals(a: Symbol, w: Window) -> tuple[float, float, floa
     r_id += np.count_nonzero(nonzero & c2[rows] & c2[cols])
     return r_u, r_p, float(r_id)
 
-
-def toeplitz_invertibility_report(
-    a: Symbol, spec: IdealSpec, w: Window, N_max: int
-) -> dict:
-    """Evidence that (P, M_a) is a Toeplitz pair for the given ideal spec."""
-    comm = projection_commutator(a, w)
-    spectrum = singular_values(comm)
-    verdict = summability_classify(spectrum.values, spec, N_max)
-    r_u, r_p, r_id = inverse_identity_residuals(a, w)
-    return {
-        "spec": spec.describe(),
-        "commutator_spectrum": spectrum,
-        "commutator_verdict": verdict,
-        # [1-P, M_a] = -[P, M_a] exactly, so the two commutators share one spectrum
-        "inverse_commutator_verdict": verdict,
-        "residual_u": r_u,
-        "residual_p": r_p,
-        "residual_identity": r_id,
-    }

@@ -126,11 +126,6 @@ class Window:
         """Matrix indices of the Hardy modes (>= 0), the range of P."""
         return slice(-self.lo, None)
 
-    @property
-    def negative(self) -> slice:
-        """Matrix indices of the strictly negative modes, the range of 1 - P."""
-        return slice(0, -self.lo)
-
 
 class _Stated(tuple):
     """Blocks of hardy's builders, finite by construction, so WindowedOperator does not scan them."""
@@ -242,13 +237,6 @@ def hankel_operator(a: Symbol, w: Window) -> WindowedOperator:
     return WindowedOperator(w, _Stated(((n, h, m[n, h]),)))
 
 
-def complement_compression(a: Symbol, w: Window) -> WindowedOperator:
-    """Compression (1-P) M_a (1-P) to the strictly negative modes: M_a's negative quadrant."""
-    _require_two_sided(w, "complement_compression")
-    m = multiplication_operator(a, w).entries
-    return WindowedOperator(w, _Stated(((w.negative, w.negative, m[w.negative, w.negative]),)))
-
-
 def projection_commutator(a: Symbol, w: Window) -> WindowedOperator:
     """Commutator [P, M_a] = P M_a (1-P) - (1-P) M_a P as two corners; 0.0 - x, not -x, keeps zeros +0.0."""
     _require_two_sided(w, "projection_commutator")
@@ -281,14 +269,6 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
         product = tab - ta @ tb
     adjoint = tconj - ta.conj().T
     return WindowedOperator(w, _Stated(((q, q, product),))), WindowedOperator(w, _Stated(((q, q, adjoint),)))
-
-
-def rotation_equivariance_residual(a: Symbol, theta: float, w: Window) -> float:
-    """Norm of tau(R_theta a) - U_theta tau(a) U_theta^*; zero up to rounding."""
-    rotated = make_symbol((deg, amp * np.exp(1j * deg * theta)) for deg, amp in a.coefficients)
-    u = np.exp(1j * theta * w.modes[w.hardy])  # diagonal of U_theta on the Hardy quadrant, where both live
-    ((_, _, ta),), ((_, _, tr),) = (toeplitz_compress(s, w).blocks for s in (a, rotated))
-    return _opnorm(tr - u[:, None] * ta * u.conj())
 
 
 def _svdvals(x: np.ndarray) -> np.ndarray:

@@ -182,6 +182,11 @@ class TestDispatch:
         ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--max-index", "100"],
         ["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "8", "--ambient", "4"],
         ["deformation-check", "--eps", "5", "--modes", "4"],
+        ["deformation-check", "--eps", "1e400"],  # float("1e400") is inf
+        ["lemma-check", "--p", "0.5", "--eps", "0.4"],
+        ["sweep", "--p", "x", "--eps-min", "0.3", "--eps-max", "0.8"],
+        ["sweep", "--p", "2", "--eps-min", "0.8", "--eps-max", "0.3"],
+        ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "inf"],
     ])
     def test_bad_numbers_and_zero_counts_are_usage_errors(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -189,14 +194,16 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out and "FAIL" not in captured.out
         assert "oil" in captured.err and "Traceback" not in captured.err
-        names = [word.lstrip("-") for word in argv if word.startswith("--")]
-        assert any(re.search(rf"\b{re.escape(name)}\b", captured.err) for name in names)
+        options = [word for word in argv if word.startswith("--")]
+        assert any(re.search(rf"{re.escape(option)}(?![\w-])", captured.err) for option in options)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [
         (["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--max-index", "100"], "--max-index"),
         (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "8", "--ambient", "4"], "--ambient"),
         (["deformation-check", "--eps", "5", "--modes", "4"], "--modes"),
+        (["sweep", "--p", "2", "--eps-min", "nan", "--eps-max", "0.8"], "--eps-min"),
+        (["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "5"], "--eps-max"),
     ])
     def test_library_limits_name_the_option_that_set_them(self, argv, option, capsys):
         # each value breaks a limit the library states under its own parameter name

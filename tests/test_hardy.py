@@ -17,7 +17,6 @@ from oil import (
     multiplication_operator,
     numerical_rank,
     projection_commutator,
-    rotation_equivariance_residual,
     splitting_defect,
     symbol_conjugate,
     symbol_product,
@@ -246,16 +245,36 @@ class TestSplittingDefect:
         assert np.max(np.abs(adjoint.entries[sl, sl])) < 1e-12 * scale
 
 
-class TestRotation:
-    def test_identity_rotation(self):
-        assert rotation_equivariance_residual(Z, 0.0, Window(-4, 4)) == 0.0
+QUARTER_TURN = (1, 1j, -1, -1j)  # e^{i k pi/2} at k mod 4
 
-    @pytest.mark.parametrize(
-        "sym,theta",
-        [(Z, np.pi / 3), (make_symbol([(1, 1.0), (-1, 1.0)]), 1.0), (ZBAR, 2.7)],
-    )
-    def test_rotation_residual_tiny(self, sym, theta):
-        assert rotation_equivariance_residual(sym, theta, Window(-8, 8)) <= 1e-12
+
+def quarter_turn_mismatches(a, w: Window, table=QUARTER_TURN) -> int:
+    """Entries at which tau(R a) != U tau(a) U^*, with R the quarter turn read from table.
+
+    R multiplies the coefficient at k by table[k % 4], and U is the diagonal
+    of QUARTER_TURN at the Hardy modes.  Every factor is +-1 or +-1j, so
+    both sides are exact and the count is 0 when the action commutes.
+    """
+    rotated = make_symbol((deg, amp * table[deg % 4]) for deg, amp in a.coefficients)
+    u = np.array(QUARTER_TURN)[w.modes[w.hardy] % 4]
+    ((_, _, ta),), ((_, _, tr),) = (toeplitz_compress(s, w).blocks for s in (a, rotated))
+    return int(np.count_nonzero(tr != u[:, None] * ta * u.conj()))
+
+
+class TestRotation:
+    """The G-action of the circle: tau(R_theta a) = U_theta tau(a) U_theta^*, at theta = pi/2."""
+
+    @pytest.mark.parametrize("bw, lo, hi", [(3, -40, 40), (32, -300, 300), (8, -2048, 2048)])
+    def test_quarter_turn_is_exact(self, bw, lo, hi):
+        rng = np.random.default_rng(bw)
+        degs = range(-bw, bw + 1)
+        a = make_symbol(zip(degs, rng.normal(size=len(degs)) + 1j * rng.normal(size=len(degs))))
+        w = Window(lo, hi)
+        assert quarter_turn_mismatches(a, w) == 0
+        # a flipped sign turns R the other way: the entries at odd offsets j - k, 2 (n - m) of each
+        n = hi + 1
+        flipped = (1, -1j, -1, 1j)
+        assert quarter_turn_mismatches(a, w, flipped) == sum(2 * (n - m) for m in range(1, bw + 1, 2))
 
 
 class TestWindow:

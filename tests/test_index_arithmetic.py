@@ -14,7 +14,6 @@ import pytest
 from oil import (
     Window,
     WindowedOperator,
-    complement_compression,
     deformation_operator,
     deformed_compression,
     extension_sum,
@@ -73,7 +72,6 @@ def test_window_builders_match_dense_products(lo, hi, bw):
     if w.lo < 0:
         assert np.array_equal(hankel_operator(a, w).entries, q @ m @ p)
         assert np.array_equal(projection_commutator(a, w).entries, p @ m - m @ p)
-        assert np.array_equal(complement_compression(a, w).entries, q @ m @ q)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 32])

@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from oil import (
-    IdealSpec,
     Window,
     WindowedOperator,
-    complement_compression,
     deformation_defect_residuals,
     deformation_operator,
     hankel_operator,
@@ -29,11 +27,9 @@ from oil import (
     multiplication_operator,
     numerical_rank,
     projection_commutator,
-    rotation_equivariance_residual,
     singular_values,
     splitting_defect,
     toeplitz_compress,
-    toeplitz_invertibility_report,
 )
 from oil.cli import main
 from oil.hardy import TOLERANCES, _rank
@@ -126,7 +122,6 @@ def builders(a, b, w: Window) -> dict:
     }
     if w.lo < 0:
         out["hankel"] = hankel_operator(a, w)
-        out["complement"] = complement_compression(a, w)
         out["commutator"] = projection_commutator(a, w)
     if w.dimension > 4 * (a.bandwidth + b.bandwidth):
         out["product_defect"], out["adjoint_defect"] = splitting_defect(a, b, w)
@@ -233,7 +228,3 @@ def test_no_check_reads_a_filled_window_matrix(tmp_path, monkeypatch, capsys):
     for argv in runs:
         assert main(argv) == 0, argv
     assert capsys.readouterr().out == "".join(f"{argv[0]}: PASS\n" for argv in runs)
-    a = make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)])
-    assert rotation_equivariance_residual(a, 1.0, Window(-8, 8)) <= TOLERANCES["identity"]
-    rep = toeplitz_invertibility_report(a, IdealSpec.schatten(1.0), Window(-40, 40), 64)
-    assert rep["commutator_verdict"].verdict == "summable"

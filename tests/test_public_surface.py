@@ -18,9 +18,6 @@ READERS = [
     ROOT / "tests" / "test_acceptance.py",
 ]
 KEEP = {
-    "rotation_equivariance_residual": "the G-action: tau(R_theta a) = U_theta tau(a) U_theta^*",
-    "toeplitz_invertibility_report": "invertibility via Toeplitz operators with abstract symbol",
-    "complement_compression": "the compression (1-P) M_a (1-P) of the inverse extension",
     "symbol_conjugate": "the adjoint symbol: T_conj(a) = (T_a)^*",
 }
 

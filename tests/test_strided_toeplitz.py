@@ -18,7 +18,6 @@ from oil import (
     Symbol,
     Window,
     WindowedOperator,
-    complement_compression,
     hankel_operator,
     make_symbol,
     multiplication_operator,
@@ -86,7 +85,6 @@ def reference_builders(a, w: Window) -> dict:
     if w.lo < 0:
         out["hankel"] = reference_quadrants(m, w, "-+")
         out["commutator"] = reference_quadrants(m, w, "+-") - reference_quadrants(m, w, "-+")
-        out["complement"] = reference_quadrants(m, w, "--")
     return out
 
 
@@ -107,7 +105,6 @@ BUILDERS = {
     "toeplitz": toeplitz_compress,
     "hankel": hankel_operator,
     "commutator": projection_commutator,
-    "complement": complement_compression,
 }
 CASES = [(lo, hi, name) for lo, hi in WINDOWS for name in symbols(hi - lo + 1)]
 
@@ -152,7 +149,7 @@ def test_other_builders_return_fresh_writable_arrays():
     a, b = seeded_symbol(2, seed=1), seeded_symbol(1, seed=2)
     w = Window(-12, 12)
     m = multiplication_operator(a, w).entries
-    outs = [BUILDERS[key](a, w).entries for key in ("toeplitz", "hankel", "commutator", "complement")]
+    outs = [BUILDERS[key](a, w).entries for key in ("toeplitz", "hankel", "commutator")]
     outs += [op.entries for op in splitting_defect(a, b, w)]
     for i, x in enumerate(outs):
         assert x.flags.writeable and x.flags.c_contiguous

@@ -218,7 +218,7 @@ def filled_defect_results(a, b, w):
     Schur's bound, and the adjoint defect is a norm over the guard-valid Hardy modes.
     """
     sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
-    q, n = w.hardy, w.negative
+    q, n = w.hardy, slice(0, -w.lo)  # the Hardy and all negative modes
     v = slice(max(sl.start - q.start, 0), max(sl.stop - q.start, 0))
     product, adjoint = splitting_defect(a, b, w)
     ma = multiplication_operator(a, w).entries
