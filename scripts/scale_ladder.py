@@ -5,10 +5,11 @@
 Runs `oil spectrum --op hankel|commutator`, `defect`, `inverse-check` and
 `deformation-check` on mix.json (z + 1/z + z^2/2 + z^-3/4) at d = 2^k + 1
 for k = 10 ... 16: the window [-2^(k-1), 2^(k-1)], or 2^k modes for
-`deformation-check`, whose defect window adds 16 negative modes.  Each rung
-runs in a child process whose address space is capped at 3 GiB, so a rung
-that needs more ends in the CLI's out-of-memory exit (1).  A child still
-running after 30 s is killed, and its command climbs no further.  The oil
+`deformation-check`, whose defect window adds 16 negative modes, and
+`sweep --family paper --steps 2` at --max-index 2^(k+8) = 2^18 ... 2^24.
+Each rung runs in a child process whose address space is capped at 3 GiB,
+so a rung that needs more ends in the CLI's out-of-memory exit (1).  A child
+still running after 30 s is killed, and its command climbs no further.  The oil
 sources are this checkout's `src`; BLAS runs on OPENBLAS_NUM_THREADS
 threads, 1 when it is unset.  Prints one JSON object: the environment and,
 per rung, the exit code, the last output line, the wall time, the child's
@@ -37,6 +38,8 @@ COMMANDS = {  # argv after `oil`, at rung k
     "defect": lambda k: ["defect", "--symbol-a", "mix.json", *_window(k)],
     "inverse-check": lambda k: ["inverse-check", "--symbol", "mix.json", *_window(k)],
     "deformation-check": lambda k: ["deformation-check", "--eps", "0.4", "--modes", str(2**k)],
+    "sweep": lambda k: ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2",
+                        "--family", "paper", "--max-index", str(2 ** (k + 8))],
 }
 
 

@@ -25,6 +25,7 @@ from .spectral import schatten_norm, summability_classify
 
 FAMILIES = ("paper_formula", "pure_power")
 ONE = Symbol(((0, 1 + 0j),))  # the constant symbol 1, so that _band_product(a, w, ONE, bw) is M_a diag(w)
+CHUNK = 2**14  # entries per block of the paper_formula fill, whose temporaries are three blocks
 
 
 @dataclass(frozen=True)
@@ -49,27 +50,33 @@ class DeformationParams:
             raise ValueError("ambient dimension must be at least N + 2")
 
 
-def _one_minus_inv_sqrt(u: np.ndarray) -> np.ndarray:
-    """1 - (1+u)^{-1/2} as u / (sqrt(1+u) (1 + sqrt(1+u))), free of cancellation for small u."""
+def _one_minus_inv_sqrt(u: np.ndarray) -> None:
+    """u := 1 - (1+u)^{-1/2} as u / (sqrt(1+u) (1 + sqrt(1+u))), free of cancellation for small u."""
     root = np.sqrt(1.0 + u)
-    return u / (root * (1.0 + root))
+    np.divide(u, root * (1.0 + root), out=u)
 
 
 def lambda_sequence(eps: float, family: str, count: int) -> np.ndarray:
     """Deformation eigenvalue sequence, non-increasing and valued in (0, 1].
 
     The paper_formula branch is 1 - (1+u)^{-1/2} with u = k^{-2 eps},
-    evaluated in a form that avoids its cancellation for large k.
+    evaluated in a form that avoids its cancellation for large k, CHUNK
+    entries at a time; both branches fill the array they return in place.
     """
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    k = np.arange(count, dtype=float)
-    if family == "pure_power":
-        return (1.0 + k) ** (-eps)
-    if family != "paper_formula":
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    out = np.ones(count)
-    out[1:] = _one_minus_inv_sqrt(k[1:] ** (-2.0 * eps))
+    out = np.arange(count, dtype=float)  # k
+    if family == "pure_power":
+        out += 1.0
+        out **= -eps
+        return out
+    out[:1] = 1.0
+    for start in range(1, count, CHUNK):
+        u = out[start : start + CHUNK]
+        u **= -2.0 * eps
+        _one_minus_inv_sqrt(u)
     return out
 
 
@@ -201,11 +208,11 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     S-term decomposition of L^* L, and the truncated p-norm margin.
 
     U is unitary, so L and U L = a U - U D, D = (P+T) a (P+T), have the
-    same singular values and the same column norms; U L is formed by index
-    arithmetic, with no m x m product: a U is U's rows moved down by one,
-    and U D is U's columns moved left with weights shift[k].  The gaps are
-    U L's first N squared column norms, and s1 is ||a U e_k||^2, which is
-    ||U e_k||^2 for k < N since U e_k lives on the first N <= M - 2 modes.
+    same singular values and the same column norms; U L is formed from U's
+    N x N block by index arithmetic, with no m x m U or product: a U is U's
+    rows moved down by one, and U D is U's columns moved left with weights
+    shift[k].  The gaps are U L's first N squared column norms, and s1 is
+    ||a U e_k||^2 = ||U e_k||^2 for k < N: U e_k lives on the first N <= M - 2 modes.
     """
     n, m = params.N, params.M
     lam = lambda_sequence(params.eps, params.family, m)
@@ -220,20 +227,23 @@ def lemma_lower_bound_report(params: DeformationParams, trials: int) -> LemmaRep
     min_gaps = np.full(n, np.inf)
     lhs_norms = []
     s1_res = 0.0
+    fixed = np.arange(n, m)  # the modes U fixes
     for t in range(trials):
-        u = np.eye(m, dtype=complex)
-        u[:n, :n] = haar_unitary(n, params.seed ^ t)
-        ul = np.zeros_like(u)
-        ul[1:] = u[:-1]  # a U
-        ul[:, :-1] -= u[:, 1:] * shift  # - U D
+        h = haar_unitary(n, params.seed ^ t)  # U on the first N modes
+        ul = np.zeros((m, m), dtype=complex)
+        ul[1 : n + 1, :n] = h  # a U: U's rows moved down by one
+        ul[fixed[:-1] + 1, fixed[:-1]] = 1.0
+        ul[:n, : n - 1] -= h[:, 1:] * shift[: n - 1]  # - U D: U's columns moved left, weighted
+        ul[fixed, fixed - 1] -= shift[n - 1 :]
 
         gaps = np.sum(np.abs(ul[:, :n]) ** 2, axis=0) - lam[:n] ** 2
         min_gaps = np.minimum(min_gaps, gaps)
 
-        s1 = np.sum(np.abs(u[:n, :n]) ** 2, axis=0)
+        s1 = np.sum(np.abs(h) ** 2, axis=0)
         s1_res = max(s1_res, float(np.max(np.abs(s1 - 1.0))))
 
         mu = np.linalg.svd(ul, compute_uv=False)
+        del h, ul  # so that the next trial's QR does not run beside them
         lhs_norms.append(schatten_norm(SingularSpectrum(mu), params.p))
 
     return LemmaReport(
@@ -268,6 +278,20 @@ class SweepReport:
     exponent_note: str = ""
 
 
+def _sweep_point(p: float, eps: float, family: str, N_max: int) -> SweepPoint:
+    """One point of epsilon_sweep; its lambda sequence is freed before the next point builds its own."""
+    lam = lambda_sequence(eps, family, N_max)
+    verdict_p = summability_classify(lam, IdealSpec.schatten(p), N_max)
+    sums = verdict_p.evidence["partial_sums"]  # at N_max/4, N_max/2, N_max
+    return SweepPoint(
+        eps=eps,
+        measured_exponent=fit_exponent(lam, N_max // 4, N_max // 2),
+        verdict_p=verdict_p,
+        verdict_2p=summability_classify(lam, IdealSpec.schatten(2.0 * p), N_max),
+        doubling_ratio_p=sums[2] / sums[1],
+    )
+
+
 def epsilon_sweep(p: float, grid, family: str, N_max: int) -> SweepReport:
     """Sweep the deformation order and classify each point at p and 2p.
 
@@ -287,22 +311,7 @@ def epsilon_sweep(p: float, grid, family: str, N_max: int) -> SweepReport:
     if N_max & (N_max - 1) or N_max < 32:
         raise ValueError("N_max must be a power of two >= 32")
 
-    points = []
-    for eps in grid:
-        lam = lambda_sequence(eps, family, N_max)
-        verdict_p = summability_classify(lam, IdealSpec.schatten(p), N_max)
-        verdict_2p = summability_classify(lam, IdealSpec.schatten(2.0 * p), N_max)
-        sums = verdict_p.evidence["partial_sums"]  # at N_max/4, N_max/2, N_max
-        points.append(
-            SweepPoint(
-                eps=eps,
-                measured_exponent=fit_exponent(lam, N_max // 4, N_max // 2),
-                verdict_p=verdict_p,
-                verdict_2p=verdict_2p,
-                doubling_ratio_p=sums[2] / sums[1],
-            )
-        )
-
+    points = [_sweep_point(p, eps, family, N_max) for eps in grid]
     by_eps = {round(pt.eps, 12): pt for pt in points}
     separations = []
     for pt in points:

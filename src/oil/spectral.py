@@ -114,19 +114,22 @@ def tail_doubling_ratio(values, p: float, N: int) -> float:
 def fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
     """Least-squares exponent alpha with values_k ~ k^(-alpha) over [k_lo, k_hi].
 
-    Indices past the end of values are dropped; the result is nan when
-    fewer than 8 remain or one of their values is <= 0, so callers record
-    nan rather than catch an error (the epsilon sweep fits each lambda
-    sequence with it once).
+    Indices past the end of values are dropped; the result is nan when k_lo < 1,
+    fewer than 8 remain or one of their values is <= 0, so callers record nan
+    rather than catch an error (the epsilon sweep fits each lambda sequence
+    with it once).  The slope is -(x.y)/(x.x) for the centered logs x of the
+    indices and y of values[k_lo:k_hi+1], each product summed pairwise.
     """
-    ks = np.arange(k_lo, k_hi + 1)
-    ks = ks[ks < len(values)]
-    if len(ks) < 8:
+    vals = values[k_lo : k_hi + 1]
+    if k_lo < 1 or len(vals) < 8 or not vals.min() > 0:
         return math.nan
-    vals = values[ks]
-    if np.any(vals <= 0):
-        return math.nan
-    return float(-np.polyfit(np.log(ks), np.log(vals), 1)[0])
+    x = np.log(np.arange(k_lo, k_lo + len(vals), dtype=float))
+    y = np.log(vals)
+    x -= x.mean()
+    y -= y.mean()  # centering y too keeps the rounding of sum(x) times mean(y) out of x.y
+    y *= x
+    x *= x
+    return float(-np.sum(y) / np.sum(x))
 
 
 def summability_classify(values, spec: IdealSpec, N_max: int) -> SummabilityVerdict:

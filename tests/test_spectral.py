@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +185,58 @@ class TestFitExponent:
         v = np.zeros(60)
         v[0] = 1.0
         assert math.isnan(fit_exponent(v, 1, 50))
+
+    @pytest.mark.parametrize("k_lo", [0, -5])
+    def test_index_below_one(self, k_lo):
+        # log k is -inf or nan there: nan, with no warning and no LinAlgError
+        assert math.isnan(fit_exponent(np.arange(1.0, 51.0) ** -1.0, k_lo, 40))
+
+
+def exact_exponent(xs: list, ys: list) -> Fraction:
+    """Minus the least-squares slope of ys on xs, in exact rational arithmetic on the floats given."""
+    x, y = [Fraction(v) for v in xs], [Fraction(v) for v in ys]
+    n, sx, sy = len(x), sum(x), sum(y)
+    return -(n * sum(a * b for a, b in zip(x, y)) - sx * sy) / (n * sum(a * a for a in x) - sx * sx)
+
+
+def uncentered_y_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
+    """fit_exponent's closed form with y left uncentered: x.y then carries sum(x) * mean(y) in rounding."""
+    y = np.log(values[k_lo : k_hi + 1])
+    x = np.log(np.arange(k_lo, k_lo + len(y), dtype=float))
+    x -= x.mean()
+    return float(-np.sum(x * y) / np.sum(x * x))
+
+
+def fit_cases() -> dict:
+    """Positive sequences with the window fitted: power laws, offset and noisy ones, up to 2^14 points."""
+    rng = np.random.default_rng(17)
+    k = np.arange(2**15, dtype=float)
+    k[0] = 1.0
+    return {
+        "k^-2, 8 points": (k**-2.0, 3, 10),
+        "k^-0.37, 181 points": (k**-0.37, 10, 190),
+        "1e-200 k^-0.6, 2^14 points": (1e-200 * k**-0.6, 2**14, 2**15 - 1),
+        "k^-1.3 lognormal noise, 2^14 points": (k**-1.3 * rng.lognormal(0.0, 0.5, k.size), 2**14, 2**15 - 1),
+        "1e150 k^0.8 uniform noise, 999 points": (1e150 * k**0.8 * rng.uniform(0.5, 2.0, k.size), 1, 999),
+    }
+
+
+def relative_error(fit, name: str) -> Fraction:
+    """|fit - oracle| / |oracle| on one fit case, the oracle read from the float logs fit_exponent reads."""
+    values, k_lo, k_hi = fit_cases()[name]
+    xs = np.log(np.arange(k_lo, k_hi + 1, dtype=float)).tolist()
+    want = exact_exponent(xs, np.log(values[k_lo : k_hi + 1]).tolist())
+    return abs(Fraction(fit(values, k_lo, k_hi)) - want) / abs(want)
+
+
+class TestFitExponentOracle:
+    @pytest.mark.parametrize("name", sorted(fit_cases()))
+    def test_matches_the_exact_slope(self, name):
+        assert relative_error(fit_exponent, name) <= Fraction(1e-14)
+
+    def test_uncentered_y_fails_the_oracle(self):
+        # the planted fault: mean(y) is about -467 here, and sum(x) after centering is rounding, not 0
+        assert relative_error(uncentered_y_exponent, "1e-200 k^-0.6, 2^14 points") > Fraction(1e-14)
 
 
 class TestTailDoubling:
