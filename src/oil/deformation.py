@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hardy import Symbol, Window, WindowedOperator, _schur_bound, guard_slice, symbol_product
+from .hardy import Symbol, Window, WindowedOperator, _schur_bound, _Stated, guard_slice, symbol_product
 from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, fit_exponent
 from .spectral import schatten_norm, summability_classify
 
@@ -140,7 +140,7 @@ def deformed_compression(T: np.ndarray, a: Symbol, w: Window) -> WindowedOperato
     j, i = np.nonzero(band)
     out = np.zeros((d, d), dtype=complex)
     out[j, j + i - bw] = band[j, i]
-    return WindowedOperator(w, out)
+    return WindowedOperator(w, _Stated(((slice(None), slice(None), out),)))
 
 
 def deformation_defect_residuals(T: np.ndarray, a: Symbol, b: Symbol, w: Window) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hardy import Symbol, Window, WindowedOperator, guard_slice, multiplication_operator
+from .hardy import Symbol, Window, WindowedOperator, _Stated, guard_slice, multiplication_operator
 
 EVEN = slice(0, None, 2)  # V1 e_k = e_2k: the modes of the first summand
 ODD = slice(1, None, 2)  # V2 e_k = e_2k+1: the modes of the second
@@ -65,8 +65,8 @@ def extension_sum(A: WindowedOperator, B: WindowedOperator) -> WindowedOperator:
     n = A.window.dimension
     out = np.zeros((2 * n, 2 * n), dtype=complex)
     out[EVEN, EVEN] = A.entries
-    out[ODD, ODD] = B.entries
-    return WindowedOperator(Window(0, 2 * n - 1), out)
+    out[ODD, ODD] = B.entries  # A and B are finite, so the sum is finite by construction
+    return WindowedOperator(Window(0, 2 * n - 1), _Stated(((slice(None), slice(None), out),)))
 
 
 def _doubled_window(w: Window) -> tuple[np.ndarray, np.ndarray]:

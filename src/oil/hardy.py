@@ -36,6 +36,11 @@ def _opnorm(x: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """Frobenius norm of x, never below its largest singular value: a bound on _opnorm with no SVD."""
+    return float(np.linalg.norm(x))
+
+
 def _schur_bound(x: np.ndarray, cols) -> float:
     """Schur's bound sqrt(max row sum * max column sum) of |x|, never below x's largest singular value.
 
@@ -128,7 +133,7 @@ class Window:
 
 
 class _Stated(tuple):
-    """Blocks of hardy's builders, finite by construction, so WindowedOperator does not scan them."""
+    """Blocks finite by construction, so WindowedOperator neither copies nor scans them."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,10 @@ class WindowedOperator:
     shape is checked at build, and it is kept read-only.  Finiteness is
     checked where the numbers enter: make_symbol checks amplitudes,
     multiplication_operator its 2d - 1 coefficients, and a caller's own
-    matrix is scanned here, once, at build; a later write through the
-    caller's array is not seen.  The blocks of hardy's builders are read
-    from checked coefficients, so they are not scanned again.
+    matrix is copied and the copy scanned here, once, at build, so a later
+    write through the caller's array does not reach the operator.  Blocks
+    finite by construction are passed as _Stated: hardy's builders read
+    them from checked coefficients, and they are neither copied nor scanned.
     """
 
     window: Window
@@ -152,11 +158,13 @@ class WindowedOperator:
         index = range(self.window.dimension)
         blocks = self.blocks if isinstance(self.blocks, tuple) else ((slice(None), slice(None), self.blocks),)
         checked = []
+        stated = isinstance(blocks, _Stated)
         for rows, cols, x in blocks:
-            x = np.asarray(x, dtype=complex).view()  # a view, so the caller's array keeps its flags
+            # a view of a stated block, so its owner keeps its flags; a copy of a caller's
+            x = np.asarray(x, dtype=complex).view() if stated else np.array(x, dtype=complex)
             if x.shape != (len(index[rows]), len(index[cols])):
                 raise ValueError(f"block shape {x.shape} != {len(index[rows]), len(index[cols])}")
-            if not isinstance(blocks, _Stated) and not np.isfinite(x).all():
+            if not stated and not np.isfinite(x).all():
                 raise ValueError("non-finite matrix entries")
             x.flags.writeable = False
             checked.append((rows, cols, x))

@@ -10,19 +10,26 @@ Omega completes the isometry W by a complete QR factorization of W.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .hardy import TOLERANCES, _opnorm
+from .hardy import TOLERANCES, _frobenius, _opnorm
 
 
 @dataclass(frozen=True)
 class CpMap:
-    """Completely positive contraction in Kraus form: a -> sum K_i a K_i^*."""
+    """Completely positive contraction in Kraus form: a -> sum K_i a K_i^*.
+
+    The family is also held as one (r, m, n) stack and its conjugate
+    transpose (r, n, m), both formed once here, so that kappa is one
+    broadcast product summed over the Kraus index.
+    """
 
     kraus: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -32,6 +39,10 @@ class CpMap:
         if len(shape) != 2 or any(k.shape != shape for k in ks):
             raise ValueError("all Kraus operators must share one m x n shape")
         object.__setattr__(self, "kraus", ks)
+        stack = np.array(ks)
+        object.__setattr__(self, "stack", stack)
+        # each K_i^* a transposed view of a conjugate copy, the layout of k.conj().T, so products round as a loop's
+        object.__setattr__(self, "stack_h", stack.conj().transpose(0, 2, 1))
         if np.max(np.linalg.eigvalsh(self.unit_image)) > 1.0 + TOLERANCES["contraction"]:
             raise ValueError("Kraus family is not a contraction")
 
@@ -48,15 +59,21 @@ class CpMap:
         return len(self.kraus)
 
     def apply(self, a: np.ndarray) -> np.ndarray:
+        """kappa(a) of one n x n matrix, or of each matrix of a stack (..., n, n).
+
+        The r products K_i a K_i^* are added in the Kraus order.
+        """
+        r, m, n = self.stack.shape
         a = np.asarray(a, dtype=complex)
-        if a.shape != (self.n, self.n):
-            raise ValueError(f"expected {self.n}x{self.n} input, got {a.shape}")
-        return sum(k @ a @ k.conj().T for k in self.kraus)
+        if a.shape[-2:] != (n, n):
+            raise ValueError(f"expected {n}x{n} input, got {a.shape}")
+        lead = (r,) + (1,) * (a.ndim - 2)  # the Kraus index leads, before a's stack axes
+        return (self.stack.reshape(lead + (m, n)) @ a @ self.stack_h.reshape(lead + (n, m))).sum(axis=0)
 
     @cached_property
     def unit_image(self) -> np.ndarray:
         """kappa(1) = sum K_i K_i^*, formed once per map."""
-        return sum(k @ k.conj().T for k in self.kraus)
+        return (self.stack @ self.stack_h).sum(axis=0)
 
 
 def random_cp_contraction(n: int, m: int, r: int, seed: int) -> CpMap:
@@ -124,11 +141,13 @@ def dilation_build(cp: CpMap) -> DilationData:
     # unital map gets a genuinely zero defect block, not its sqrt(eps) shadow
     evals = np.where(evals < TOLERANCES["rounding"], 0.0, evals)
     root = (evecs * np.sqrt(evals)) @ evecs.conj().T
-    w = np.vstack([k.conj().T for k in cp.kraus] + [root])  # (n*r + m) x m
+    w = np.vstack([cp.stack_h.reshape(n * r, m), root])  # (n*r + m) x m
 
     dim = n * r + m
     omega = np.hstack([w, np.linalg.qr(w, mode="complete")[0][:, m:]])
-    if _opnorm(omega.conj().T @ omega - np.eye(dim)) > TOLERANCES["numerical"]:
+    gram = omega.conj().T @ omega
+    gram.reshape(-1)[:: dim + 1] -= 1.0  # Omega^* Omega - 1, in place on the diagonal
+    if _frobenius(gram) > TOLERANCES["numerical"]:
         raise RuntimeError("orthonormal completion failed: Omega not unitary")
     d = DilationData(cp=cp, omega=omega)
     probe = np.eye(n)
@@ -150,7 +169,16 @@ def defect_identity_residuals(d: DilationData, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b, dtype=complex)
     _, pi12a, pi21a, _ = d.blocks(a)
     _, _, pi21b, _ = d.blocks(b)
-    ka = d.cp.apply(a)
-    r1 = _opnorm(d.cp.apply(a @ b) - ka @ d.cp.apply(b) - pi12a @ pi21b)
-    r2 = _opnorm(d.cp.apply(a @ a) - ka @ ka - pi12a @ pi21a)
-    return r1, r2
+    return block_residuals(d.cp, a, b, pi12a, pi21a, pi21b)
+
+
+def block_residuals(cp: CpMap, a, b, pi12a, pi21a, pi21b) -> tuple[float, float]:
+    """(r1, r2) of defect_identity_residuals from blocks of pi(a) and pi(b) the caller has formed.
+
+    kappa is applied once, to the stack [ab, a, b, aa], and both norms
+    come from one batched SVD.
+    """
+    kab, ka, kb, kaa = cp.apply(np.array([a @ b, a, b, a @ a]))
+    res = np.array([kab - ka @ kb - pi12a @ pi21b, kaa - ka @ ka - pi12a @ pi21a])
+    r1, r2 = np.linalg.svd(res + 0.0, compute_uv=False)[:, 0]  # + 0.0 as in _opnorm
+    return float(r1), float(r2)

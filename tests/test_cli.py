@@ -430,8 +430,8 @@ PLANTED_FAULTS = {
     "defect-adjoint": (["defect", "--symbol-a", "SYMBOL"], hardy, "symbol_conjugate",
                        lambda real: lambda a: _nudged(real(a))),
     "stinespring-check": (["stinespring-check", "--maps", "1", "--pairs", "1"], stinespring,
-                          "defect_identity_residuals",
-                          lambda real: lambda d, a, b: tuple(r + 1e-6 for r in real(d, a, b))),
+                          "block_residuals",
+                          lambda real: lambda cp, a, b, *blocks: tuple(r + 1e-6 for r in real(cp, a, b, *blocks))),
     "sum-demo": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
                  lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
     # B and B^T share a spectrum, so spectrum_merge passes: only the swap count sees it

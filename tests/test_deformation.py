@@ -207,12 +207,17 @@ class TestHaarUnitary:
 
 
 class TestLemmaLowerBound:
-    def test_trivial_case_zero(self):
-        # T = 0 and U = 1 mean L = 0; emulate with a vanishing sequence
-        n, m = 8, 10
-        shift = np.eye(m, k=-1)
-        big_l = shift - shift
-        assert np.all(big_l == 0)
+    def test_trivial_case_zero(self, monkeypatch):
+        # T = 0 and U = 1 mean L = U^* a U - (P+T) a (P+T) = a - a = 0: the report's U L must be
+        # exactly zero, so its gaps, norms and residuals are all 0.0
+        monkeypatch.setattr(deformation, "lambda_sequence", lambda eps, family, count: np.zeros(count))
+        monkeypatch.setattr(deformation, "haar_unitary", lambda n, seed: np.eye(n, dtype=complex))
+        for n, m in [(1, 3), (8, 10), (8, 13)]:
+            params = DeformationParams(eps=0.4, p=2.0, family="paper_formula", N=n, M=m)
+            rep = lemma_lower_bound_report(params, trials=2)
+            assert np.array_equal(rep.min_gaps, np.zeros(n))
+            assert rep.lhs_norms == (0.0, 0.0) and rep.rhs_norm == 0.0 and rep.min_norm_margin == 0.0
+            assert rep.s1_max_residual == 0.0 and rep.s2_max_residual == 0.0
 
     def test_identity_unitary_per_mode_bound(self):
         # with U = 1 the per-mode bound (c_k)^2 - lambda_k^2 >= 0 is tight

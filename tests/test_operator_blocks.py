@@ -166,6 +166,14 @@ def test_writes_through_entries_cannot_change_an_operator():
     assert x.flags.writeable  # the caller's own array keeps its flags
 
 
+def test_a_write_through_the_callers_array_does_not_reach_a_dense_operator():
+    x = np.eye(7, dtype=complex)
+    op = WindowedOperator(Window(-3, 3), x)
+    x[4, 4] = np.nan  # the operator holds a checked copy, so its SVD still sees the identity
+    assert np.array_equal(singular_values(op).values, np.ones(7))
+    assert np.array_equal(op.entries, np.eye(7))
+
+
 def _peak_bytes(fn, *args) -> int:
     tracemalloc.start()
     try:

@@ -10,6 +10,8 @@ from oil import (
     dilation_build,
     random_cp_contraction,
 )
+from oil.cli import main
+from oil.hardy import _frobenius, _opnorm
 
 
 def opnorm(x):
@@ -78,6 +80,39 @@ class TestCpMap:
     def test_non_contraction_rejected(self):
         with pytest.raises(ValueError, match="contraction"):
             CpMap((2.0 * np.eye(2),))
+
+
+def kraus_loop(cp, a):
+    """The reference kappa(a): sum_i K_i a K_i^* by a loop over the Kraus operators."""
+    return sum(k @ a @ k.conj().T for k in cp.kraus)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+class TestStackedKappa:
+    def test_single_matrix_matches_the_kraus_loop(self, name):
+        cp = CASES[name]
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            a = random_matrix(rng, cp.n)
+            ref = kraus_loop(cp, a)
+            assert opnorm(cp.apply(a) - ref) <= 1e-14 * opnorm(ref)
+        assert opnorm(cp.unit_image - kraus_loop(cp, np.eye(cp.n))) <= 1e-14
+
+    def test_stack_matches_the_kraus_loop(self, name):
+        cp = CASES[name]
+        stack = np.stack([random_matrix(np.random.default_rng(16 + i), cp.n) for i in range(4)])
+        got = cp.apply(stack)
+        assert got.shape == (4, cp.m, cp.m)
+        for x, y in zip(stack, got):
+            ref = kraus_loop(cp, x)
+            assert opnorm(y - ref) <= 1e-14 * opnorm(ref)
+
+    def test_wrong_trailing_shape_rejected(self, name):
+        cp = CASES[name]
+        n = cp.n
+        for shape in [(n, n + 1), (n + 1, n), (4, n, n + 1), (4, n + 1, n + 1), (n,), ()]:
+            with pytest.raises(ValueError, match=f"{n}x{n}"):
+                cp.apply(np.zeros(shape))
 
 
 class TestDilation:
@@ -261,3 +296,66 @@ class TestDefectIdentities:
         )[::-1]
         np.testing.assert_allclose(np.sort(mu_comm**2)[::-1], mu_blocks, atol=1e-10)
 
+
+
+def _stack_without_conjugate(cp):
+    return cp.stack, cp.stack.transpose(0, 2, 1)
+
+
+def _stack_dropping_last_kraus(cp):
+    return cp.stack[:-1], cp.stack_h[:-1]
+
+
+def _faulty_stacked_apply(factors):
+    """CpMap.apply with a stack's Kraus factors from factors(cp); one matrix, as in the postcondition, as before."""
+    real = CpMap.apply
+
+    def apply(cp, a):
+        a = np.asarray(a, dtype=complex)
+        if a.ndim == 2:
+            return real(cp, a)
+        k, kh = factors(cp)
+        return (k[:, None] @ a @ kh[:, None]).sum(axis=0)
+
+    return apply
+
+
+STACKED_FAULTS = {"conjugate": _stack_without_conjugate, "kraus": _stack_dropping_last_kraus}
+
+
+def criterion_5_residuals():
+    """The worst r1 and r2 over criterion 5's maps and pairs."""
+    rng = np.random.default_rng(1234)
+    worst = [0.0, 0.0]
+    for i in range(20):
+        d = dilation_build(random_cp_contraction(4, 4, 3, seed=1000 + i))
+        for _ in range(20):
+            a, b = random_matrix(rng, 4), random_matrix(rng, 4)
+            worst = np.maximum(worst, defect_identity_residuals(d, (a + a.conj().T) / 2, b))
+    return worst
+
+
+@pytest.mark.parametrize("fault", list(STACKED_FAULTS))
+def test_stacked_product_fault_fails_criterion_5_and_the_cli(fault, monkeypatch, capsys, tmp_path):
+    assert np.all(criterion_5_residuals() <= 1e-10)
+    argv = ["stinespring-check", "--maps", "2", "--pairs", "3", "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    monkeypatch.setattr(CpMap, "apply", _faulty_stacked_apply(STACKED_FAULTS[fault]))
+    assert np.all(criterion_5_residuals() > 1e-3)
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().out == "stinespring-check: FAIL\n"
+
+
+def test_frobenius_bounds_are_never_below_the_svd_norm():
+    """On criterion 5's maps and pairs, and on one (32, 32, 8) map: unitarity and homomorphism."""
+    rng = np.random.default_rng(1234)
+    maps = [((4, 4, 3), 1000 + i, 20) for i in range(20)] + [((32, 32, 8), 1, 2)]
+    for (n, m, r), seed, pairs in maps:
+        d = dilation_build(random_cp_contraction(n, m, r, seed=seed))
+        gram = d.omega.conj().T @ d.omega - np.eye(d.ambient_dim)
+        assert _frobenius(gram) >= _opnorm(gram)
+        for _ in range(pairs):
+            a, b = random_matrix(rng, n), random_matrix(rng, n)
+            hom = d.rep(a @ b) - d.rep(a) @ d.rep(b)
+            assert _frobenius(hom) >= _opnorm(hom)
