@@ -258,25 +258,29 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
 
     Returns (product_defect, adjoint_defect) where product_defect is
     T_{ab} - T_a T_b and adjoint_defect is T_{conj(a)} - (T_a)^*.  The
-    window must be guard-valid for depth 2 at the combined bandwidth.
+    window must be guard-valid for depth 2 at the combined bandwidth bw.
 
-    Every Toeplitz compression is zero off the Hardy quadrant, so both
-    defects are formed on it alone, as their one block.  The adjoint defect
-    is zero with no rounding on every window: both terms read a's coefficients.
-    T_a T_b can overflow where T_{ab}'s coefficients do not; it then raises
-    FloatingPointError, so both blocks are finite.
+    The product defect is zero off its corners at mode 0 (Widom's) and at
+    hi (the cut-off): two blocks M_ab[e, e] - M_a[e, q] M_b[q, e] on disjoint
+    rows and columns e.  Mode 0's reaches bw + 1 modes into the guard band,
+    so every diagonal of the band meets the guard band in it, and is the
+    whole quadrant where the two would meet.  The adjoint defect, zero with
+    no rounding as both terms read a's coefficients, is a read-only Toeplitz
+    view of its 2 hi + 1 diagonals.  T_a T_b can overflow where T_{ab}'s
+    coefficients do not; it then raises FloatingPointError.
     """
     bw = a.bandwidth + b.bandwidth
-    guard_slice(w, 2, bw)
-    q = w.hardy
-    ta = multiplication_operator(a, w).entries[q, q]
-    tb = multiplication_operator(b, w).entries[q, q]
-    tab = multiplication_operator(symbol_product(a, b), w).entries[q, q]
-    tconj = multiplication_operator(symbol_conjugate(a), w).entries[q, q]
+    sl, q, d = guard_slice(w, 2, bw), w.hardy, w.dimension
+    ma, mb = multiplication_operator(a, w).entries, multiplication_operator(b, w).entries
+    mab, mconj = (multiplication_operator(x, w).entries for x in (symbol_product(a, b), symbol_conjugate(a)))
+    cut = max(sl.start, q.start) + bw + 1
+    corners = (slice(q.start, cut), slice(d - bw, d)) if cut + bw <= d else (slice(q.start, d), slice(d, d))
     with np.errstate(over="raise", invalid="raise"):
-        product = tab - ta @ tb
-    adjoint = tconj - ta.conj().T
-    return WindowedOperator(w, _Stated(((q, q, product),))), WindowedOperator(w, _Stated(((q, q, adjoint),)))
+        product = _Stated((e, e, mab[e, e] - ma[e, q] @ mb[q, e]) for e in corners)
+    # t_k at [hi - k] of T[::-1, 0] and T[0, 1:] joined; (T_a)^* has conj(t_{-k}) there
+    ta, tconj = (np.concatenate((m[q, q][::-1, 0], m[q, q][0, 1:])) for m in (ma, mconj))
+    adjoint = sliding_window_view(tconj - ta[::-1].conj(), w.hi + 1)[::-1]
+    return WindowedOperator(w, product), WindowedOperator(w, _Stated(((q, q, adjoint),)))
 
 
 def _svdvals(x: np.ndarray) -> np.ndarray:

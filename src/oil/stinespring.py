@@ -102,11 +102,6 @@ class DilationData:
     def ambient_dim(self) -> int:
         return self.cp.n * self.cp.r + self.cp.m
 
-    def projection(self) -> np.ndarray:
-        p = np.zeros((self.ambient_dim, self.ambient_dim), dtype=complex)
-        p[: self.cp.m, : self.cp.m] = np.eye(self.cp.m)
-        return p
-
     def rep(self, a: np.ndarray) -> np.ndarray:
         """Dilation homomorphism pi(a)."""
         a = np.asarray(a, dtype=complex)

@@ -202,7 +202,7 @@ def test_criterion_9_square_root_ideal():
         a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         sa = (a + a.conj().T) / 2
         defect = cp.apply(sa @ sa) - cp.apply(sa) @ cp.apply(sa)
-        p_mat = d.projection()
+        p_mat = np.diag(np.arange(d.ambient_dim) < 32).astype(complex)  # P onto the first m = 32 coordinates
         pia = d.rep(sa)
         comm = p_mat @ pia - pia @ p_mat
         mu_defect = np.linalg.svd(defect, compute_uv=False)

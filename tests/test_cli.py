@@ -426,6 +426,9 @@ PLANTED_FAULTS = {
     "defect": (["defect", "--symbol-a", "SYMBOL"], hardy, "splitting_defect",
                lambda real: lambda a, b, w: tuple(
                    WindowedOperator(w, tuple((r, c, x + 1e-6) for r, c, x in op.blocks)) for op in real(a, b, w))),
+    # M_ab off M_a M_b by 1e-9 at ab's first degree: only hankel_product compares the two
+    "defect-product": (["defect", "--symbol-a", "SYMBOL"], hardy, "symbol_product",
+                       lambda real: lambda a, b: _nudged(real(a, b), 1e-9)),
     # one ulp, far below the identity tolerance: only the exact adjoint_defect count can see it
     "defect-adjoint": (["defect", "--symbol-a", "SYMBOL"], hardy, "symbol_conjugate",
                        lambda real: lambda a: _nudged(real(a))),

@@ -212,6 +212,15 @@ def test_deformation_forms_no_window_matrix():
     assert main(argv) == 0
 
 
+def test_defect_forms_no_window_matrix(tmp_path):
+    # d = 4097: one complex Hardy quadrant is 64 MiB; the product defect's blocks are 7 x 7 and 6 x 6 here
+    mix = tmp_path / "mix.json"
+    mix.write_text("[[1, 1, 0], [-1, 1, 0], [2, 0.5, 0], [-3, 0.25, 0]]")
+    argv = ["defect", "--symbol-a", str(mix), "--lo", "-2048", "--hi", "2048"]
+    assert _peak_bytes(main, argv) < 4 * 2**20
+    assert main(argv) == 0
+
+
 def test_no_check_reads_a_filled_window_matrix(tmp_path, monkeypatch, capsys):
     """Every oil check reads a block operator through its blocks; entries is only M_a's view or a dense array."""
     fill = WindowedOperator.entries.fget

@@ -42,7 +42,7 @@ def ci_symbol_files() -> dict:
 
 def test_same_invocations():
     assert readme_invocations() == ci_invocations()
-    assert len(ci_invocations()) == 19
+    assert len(ci_invocations()) == 20
 
 
 def test_same_symbol_files():

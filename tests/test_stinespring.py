@@ -282,7 +282,7 @@ class TestDefectIdentities:
         a = random_matrix(np.random.default_rng(11), 5)
         sa = (a + a.conj().T) / 2
         _, pi12, pi21, _ = d.blocks(sa)
-        p = d.projection()
+        p = np.diag(np.arange(d.ambient_dim) < d.cp.m).astype(complex)  # P onto the first m coordinates
         pia = d.rep(sa)
         comm = p @ pia - pia @ p
         mu_comm = np.linalg.svd(comm, compute_uv=False)

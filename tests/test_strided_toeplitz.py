@@ -2,11 +2,14 @@
 
 multiplication_operator returns a read-only view of 2d - 1 coefficients, the
 compressions copy their quadrants out of that view, and splitting_defect
-forms both defects on the Hardy quadrant of four such views.  The references
-here are the earlier forms: one fancy-indexed += per coefficient into a d x d
-zero matrix, quadrant copies of that matrix, and the defects over the full
-window.  Report bytes read the signs of exact zeros, so every output is
-compared bit for bit, as uint64, not by value.
+forms the product defect's two corner blocks and the adjoint defect's
+Toeplitz view from four such views.  The references here are the earlier
+forms: one fancy-indexed += per coefficient into a d x d zero matrix,
+quadrant copies of that matrix, and the defects over the full window.
+Report bytes read the signs of exact zeros, so every output is compared bit
+for bit, as uint64, not by value; only the product defect's blocks, smaller
+products than the full window's that round differently, are compared within
+the identity tolerance.
 """
 
 import tracemalloc
@@ -27,6 +30,7 @@ from oil import (
     symbol_product,
     toeplitz_compress,
 )
+from oil.hardy import TOLERANCES
 
 # Hardy-only, the edge windows lo = -1 and hi = 0, asymmetric, and d = 385
 WINDOWS = [(0, 12), (0, 40), (-1, 20), (-1, 0), (-15, 0), (-7, 30), (-30, 5), (-192, 192)]
@@ -125,7 +129,8 @@ def test_builders_are_bit_identical_to_the_dense_fill(lo, hi, name):
 
 
 @pytest.mark.parametrize("lo, hi, name", CASES)
-def test_splitting_defect_is_bit_identical_to_the_full_window(lo, hi, name):
+def test_splitting_defect_matches_the_full_window(lo, hi, name):
+    """Adjoint defect bit for bit; full product within the identity tolerance of the blocks, and of 0 off them."""
     w = Window(lo, hi)
     cases = symbols(w.dimension)
     a = cases[name]
@@ -134,8 +139,12 @@ def test_splitting_defect_is_bit_identical_to_the_full_window(lo, hi, name):
             continue  # not guard-valid at depth 2
         product, adjoint = splitting_defect(a, b, w)
         want_product, want_adjoint = reference_splitting_defect(a, b, w)
-        assert np.array_equal(bits(product.entries), bits(want_product))
         assert np.array_equal(bits(adjoint.entries), bits(want_adjoint))
+        off = np.ones(want_product.shape, dtype=bool)
+        for rows, cols, x in product.blocks:
+            assert np.max(np.abs(x - want_product[rows, cols]), initial=0.0) <= TOLERANCES["identity"]
+            off[rows, cols] = False
+        assert np.max(np.abs(want_product[off]), initial=0.0) <= TOLERANCES["identity"]  # the full product's rounding
 
 
 def test_multiplication_operator_is_read_only():

@@ -1,16 +1,16 @@
 """Stripped spectra and the Hardy-quadrant products against their dense references.
 
 singular_values and numerical_rank take the SVD of the nonzero rows and
-columns only, splitting_defect forms T_a T_b on the Hardy quadrant only, and
-`oil defect` takes its Widom form and its norms on that quadrant.  The
-references here are the definitions they shortcut: np.linalg.svd of the
+columns only, splitting_defect forms T_ab - T_a T_b on its two corner blocks
+only, and `oil defect` takes its Widom form and its norms on those blocks.
+The references here are the definitions they shortcut: np.linalg.svd of the
 whole matrix, the full d x d product T_ab - T_a T_b, and the Widom form
 P M_a (1-P) M_b P as d x d masked products with d x d norms.  `oil defect`
-reads each defect's block and min(bw_a, bw_b) negative modes; its report
-values must equal, bit for bit, those read from each defect's d x d fill
-with the Widom form over every negative mode.  Its hankel_product and the
-deformation's defect_expansion are Schur bounds, checked here never to fall
-below the norm they bound.
+reads each defect's blocks and min(bw_a, bw_b) negative modes; its report
+values must equal, within the identity tolerance, those read from each
+defect's d x d fill with the Widom form over every negative mode.  Its
+hankel_product and the deformation's defect_expansion are Schur bounds,
+checked here never to fall below the norm they bound.
 """
 
 import json
@@ -259,8 +259,8 @@ class TestDefectCommand:
         a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
         out = tmp_path / "defect.json"
         assert main(defect_argv(a, b, lo, hi, tmp_path)) == 0
-        (shape,) = [x.shape for x in svd_calls]  # defect_norm's; hankel_product is a Schur bound
-        assert max(shape) <= hi + 1
+        # defect_norm's, one per block of the product defect; hankel_product is a Schur bound
+        assert svd_calls and all(max(x.shape) <= 3 * (bw_a + bw_b) + 1 for x in svd_calls)
 
         report = json.loads(out.read_text())
         norm, r_hankel, r_adjoint = dense_defect_results(a, b, Window(lo, hi))
@@ -271,7 +271,7 @@ class TestDefectCommand:
 
     @pytest.mark.parametrize("bw_a, bw_b, window", DEFECT_CASES)
     def test_same_values_as_the_filled_defects(self, bw_a, bw_b, window, tmp_path):
-        """The report reads the defects' blocks and min(bw) negative modes, and its values do not move."""
+        """The report reads the defects' blocks and min(bw) negative modes, and its values move by rounding only."""
         lo, hi = DEFECT_WINDOWS[window](2 * (bw_a + (bw_a if bw_b is None else bw_b)))
         a = seeded_symbol(bw_a, seed=3 * hi)
         b = a if bw_b is None else seeded_symbol(bw_b, seed=5 - lo)
@@ -281,7 +281,33 @@ class TestDefectCommand:
         assert main(argv) == 0
         report = json.loads((tmp_path / "defect.json").read_text())
         got = report["results"]["defect_norm"], *(report["residuals"][k] for k in ("hankel_product", "adjoint_defect"))
-        assert got == filled_defect_results(a, b, Window(lo, hi))
+        want = filled_defect_results(a, b, Window(lo, hi))
+        np.testing.assert_allclose(got, want, rtol=TOLERANCES["identity"], atol=0)
+
+    @pytest.mark.parametrize("window", ["symmetric", "lo=-1", "-lo<g", "-lo>g"])
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
+    def test_product_fault_fails_through_hankel_product_alone(self, bw_a, bw_b, window, tmp_path, monkeypatch):
+        """M_ab off M_a M_b by 1e-9 on its diagonal bw_a + bw_b above the main one, where it meets the guard band.
+
+        Mode 0's block reaches bw_a + bw_b + 1 modes into the guard band, so the
+        diagonal meets the guard band inside it; the corners alone miss it.
+        """
+        lo, hi = GUARDED_WINDOWS[window](2 * (bw_a + bw_b))
+        a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
+        argv, out = defect_argv(a, b, lo, hi, tmp_path), tmp_path / "defect.json"
+        assert main(argv) == 0
+        clean = json.loads(out.read_text())["residuals"]
+        real = hardy.symbol_product
+
+        def nudged(x, y):
+            (deg, amp), *rest = real(x, y).coefficients
+            return make_symbol([(deg, amp + 1e-9), *rest])
+
+        monkeypatch.setattr(hardy, "symbol_product", nudged)
+        assert main(argv) == 1
+        faulted = json.loads(out.read_text())["residuals"]
+        assert faulted["hankel_product"] > TOLERANCES["identity"] >= clean["hankel_product"]
+        assert faulted["adjoint_defect"] == clean["adjoint_defect"] == 0.0
 
     @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
     def test_no_guard_valid_hardy_mode_is_usage_error(self, bw_a, bw_b, tmp_path, capsys):
