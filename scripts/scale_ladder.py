@@ -5,7 +5,9 @@
 Runs `oil spectrum --op hankel|commutator`, `defect`, `inverse-check` and
 `deformation-check` on mix.json (z + 1/z + z^2/2 + z^-3/4) at d = 2^k + 1
 for k = 10 ... 16: the window [-2^(k-1), 2^(k-1)], or 2^k modes for
-`deformation-check`, whose defect window adds 16 negative modes, and
+`deformation-check`, whose defect window adds 16 negative modes;
+`defect-wide`, `defect` at the same windows on the pair wide32.json and
+wide8.json of bandwidths 32 and 8, whose corner blocks are wider; and
 `sweep --family paper --steps 2` at --max-index 2^(k+8) = 2^18 ... 2^24.
 Each rung runs in a child process whose address space is capped at 3 GiB,
 so a rung that needs more ends in the CLI's out-of-memory exit (1).  A child
@@ -29,6 +31,9 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIX = "[[1, 1, 0], [-1, 1, 0], [2, 0.5, 0], [-3, 0.25, 0]]\n"
+WIDE32 = "[[-32, 0.25, 0.5], [-9, 1, -0.5], [0, 2, 0], [4, -0.75, 0.25], [17, 0.5, 0], [32, 0.125, -0.25]]\n"
+WIDE8 = "[[-8, 0.5, 0], [-1, 1, 0.25], [1, -1, 0], [3, 0.25, -0.5], [8, 0.75, 0.125]]\n"
+SYMBOL_FILES = {"mix.json": MIX, "wide32.json": WIDE32, "wide8.json": WIDE8}
 ADDRESS_SPACE = 3 << 30
 LIMIT_S = 30.0
 RUNGS = range(10, 17)
@@ -36,6 +41,7 @@ COMMANDS = {  # argv after `oil`, at rung k
     "spectrum-hankel": lambda k: ["spectrum", "--symbol", "mix.json", "--op", "hankel", *_window(k)],
     "spectrum-commutator": lambda k: ["spectrum", "--symbol", "mix.json", "--op", "commutator", *_window(k)],
     "defect": lambda k: ["defect", "--symbol-a", "mix.json", *_window(k)],
+    "defect-wide": lambda k: ["defect", "--symbol-a", "wide32.json", "--symbol-b", "wide8.json", *_window(k)],
     "inverse-check": lambda k: ["inverse-check", "--symbol", "mix.json", *_window(k)],
     "deformation-check": lambda k: ["deformation-check", "--eps", "0.4", "--modes", str(2**k)],
     "sweep": lambda k: ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2",
@@ -54,8 +60,9 @@ def _cap_address_space():
 def run_rung(name: str, k: int, workdir: str) -> dict:
     """Run one command at rung k in workdir, in a capped child process."""
     argv = COMMANDS[name](k) + ["--out", "report.json"]
-    with open(os.path.join(workdir, "mix.json"), "w") as fh:
-        fh.write(MIX)
+    for filename, text in SYMBOL_FILES.items():
+        with open(os.path.join(workdir, filename), "w") as fh:
+            fh.write(text)
     report = os.path.join(workdir, "report.json")
     if os.path.exists(report):
         os.remove(report)

@@ -26,7 +26,6 @@ from .spectral import (
     schatten_norm,
     singular_values,
     summability_classify,
-    tail_doubling_ratio,
 )
 from .stinespring import (
     CpMap,

@@ -28,12 +28,13 @@ def _cmd_defect(args):
     a = load_symbol_file(args.symbol_a)
     b = load_symbol_file(args.symbol_b) if args.symbol_b else a
     w = hardy.Window(args.lo, args.hi)
-    sl = hardy.guard_slice(w, 2, a.bandwidth + b.bandwidth)
-    q = w.hardy
+    bw = a.bandwidth + b.bandwidth
+    sl, q = hardy.guard_slice(w, 2, bw), w.hardy
     v = slice(max(sl.start - q.start, 0), max(sl.stop - q.start, 0))  # sl within q, in q's indices
-    if v.start >= v.stop:  # the guard band ends below mode 0, so the residuals would compare nothing
+    if v.stop - v.start <= bw:  # then some diagonal of the band has no entry with both ends guard-valid
         raise hardy.GuardBandError(
-            f"window [{w.lo},{w.hi}] has no guard-valid Hardy mode: need hi >= {sl.start}"
+            f"window [{w.lo},{w.hi}] has {v.stop - v.start} guard-valid Hardy modes, at most bw = {bw}: "
+            f"need hi >= {sl.start + v.start + bw}"
         )
     product, adjoint = hardy.splitting_defect(a, b, w)
     ((e, _, corner), _), ((_, _, diagonals),) = product.blocks, adjoint.blocks  # corner: mode 0's block
@@ -143,12 +144,11 @@ def _cmd_deformation(args):
     lam = deformation.lambda_sequence(args.eps, args.family, args.modes)
     t = deformation.deformation_operator(lam, hw)
     z = hardy.make_symbol([(1, 1.0)])
-    _, q = deformation._p_plus_t(t, hw)
-    # (P+T) M_z (P+T) on its band, which keeps entry (k+1, k) at [k+1, 0]
-    comp = q[:, None] * deformation._band_product(z, q, deformation.ONE, 1)
+    q, mz = 1.0 + t, hardy.multiplication_operator(z, hw).entries  # Q = P + T, P the identity on hw
     ks = np.arange(args.modes - 1)
     coeff = 1.0 + lam[ks + 1] + lam[ks] + lam[ks] * lam[ks + 1]
-    r_prpcalc = float(np.max(np.abs(comp[ks + 1, 0] - coeff)))
+    # entry (k+1, k) of (P+T) M_z (P+T), from M_z's subdiagonal
+    r_prpcalc = float(np.max(np.abs(q[ks + 1] * mz[ks + 1, ks] * q[ks] - coeff)))
 
     w = hardy.Window(-16, args.modes - 1)
     zbar = hardy.make_symbol([(-1, 1.0)])

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .hardy import Symbol, Window, WindowedOperator, _schur_bound, _Stated, guard_slice, symbol_product
+from .hardy import Symbol, Window, WindowedOperator, _schur_bound, _Stated, guard_slice, multiplication_operator
+from .hardy import symbol_product
 from .spectral import IdealSpec, SingularSpectrum, SummabilityVerdict, fit_exponent
 from .spectral import schatten_norm, summability_classify
 
@@ -132,14 +133,10 @@ def _band_product(a: Symbol, w: np.ndarray, b: Symbol, beta: int) -> np.ndarray:
 
 
 def deformed_compression(T: np.ndarray, a: Symbol, w: Window) -> WindowedOperator:
-    """Deformed Toeplitz compression (P+T) M_a (P+T) on the window, filled from its band."""
+    """Deformed Toeplitz compression (P+T) M_a (P+T) on the window: M_a's view, its rows and columns scaled by Q."""
     guard_slice(w, 3, a.bandwidth)
     _, q = _p_plus_t(T, w)
-    bw, d = a.bandwidth, w.dimension
-    band = q[:, None] * _band_product(a, np.ones(d), ONE, bw) * _band_view(q, bw)
-    j, i = np.nonzero(band)
-    out = np.zeros((d, d), dtype=complex)
-    out[j, j + i - bw] = band[j, i]
+    out = q[:, None] * multiplication_operator(a, w).entries * q
     return WindowedOperator(w, _Stated(((slice(None), slice(None), out),)))
 
 

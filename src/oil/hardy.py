@@ -261,8 +261,9 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     window must be guard-valid for depth 2 at the combined bandwidth bw.
 
     The product defect is zero off its corners at mode 0 (Widom's) and at
-    hi (the cut-off): two blocks M_ab[e, e] - M_a[e, q] M_b[q, e] on disjoint
-    rows and columns e.  Mode 0's reaches bw + 1 modes into the guard band,
+    hi (the cut-off): two blocks M_ab[e, e] - M_a[e, r] M_b[r, e] on disjoint
+    rows and columns e, with r the Hardy modes within bw of e, which alone
+    carry terms.  Mode 0's reaches bw + 1 modes into the guard band,
     so every diagonal of the band meets the guard band in it, and is the
     whole quadrant where the two would meet.  The adjoint defect, zero with
     no rounding as both terms read a's coefficients, is a read-only Toeplitz
@@ -275,8 +276,9 @@ def splitting_defect(a: Symbol, b: Symbol, w: Window):
     mab, mconj = (multiplication_operator(x, w).entries for x in (symbol_product(a, b), symbol_conjugate(a)))
     cut = max(sl.start, q.start) + bw + 1
     corners = (slice(q.start, cut), slice(d - bw, d)) if cut + bw <= d else (slice(q.start, d), slice(d, d))
+    near = [slice(max(e.start - bw, q.start), e.stop + bw) for e in corners]  # the Hardy modes within bw of e
     with np.errstate(over="raise", invalid="raise"):
-        product = _Stated((e, e, mab[e, e] - ma[e, q] @ mb[q, e]) for e in corners)
+        product = _Stated((e, e, mab[e, e] - ma[e, r] @ mb[r, e]) for e, r in zip(corners, near))
     # t_k at [hi - k] of T[::-1, 0] and T[0, 1:] joined; (T_a)^* has conj(t_{-k}) there
     ta, tconj = (np.concatenate((m[q, q][::-1, 0], m[q, q][0, 1:])) for m in (ma, mconj))
     adjoint = sliding_window_view(tconj - ta[::-1].conj(), w.hi + 1)[::-1]

@@ -100,17 +100,6 @@ def schatten_norm(s: SingularSpectrum, p: float) -> float:
     return float(top * np.sum((mu / top) ** p) ** (1.0 / p))
 
 
-def tail_doubling_ratio(values, p: float, N: int) -> float:
-    """S_{2N}/S_N for the partial sums of values^p."""
-    v = np.asarray(values, dtype=float)
-    if 2 * N > len(v):
-        raise ValueError(f"need 2N <= length, got N={N}, length={len(v)}")
-    s_n = float(np.sum(v[:N] ** p))
-    if s_n == 0.0:
-        raise ValueError("S_N is zero; ratio undefined")
-    return float(np.sum(v[: 2 * N] ** p)) / s_n
-
-
 def fit_exponent(values: np.ndarray, k_lo: int, k_hi: int) -> float:
     """Least-squares exponent alpha with values_k ~ k^(-alpha) over [k_lo, k_hi].
 

@@ -34,7 +34,6 @@ from oil import (
     random_cp_contraction,
     splitting_defect,
     summability_classify,
-    tail_doubling_ratio,
 )
 from oil.cli import main
 from oil.extensions import interleaving_swap

@@ -312,7 +312,7 @@ class TestDispatch:
         argv = ["defect", "--symbol-a", str(z), "--symbol-b", str(zbar), "--lo", "-100", "--hi", "2"]
         assert main(argv + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "oil: window [-100,2] has no guard-valid Hardy mode: need hi >= 4\n"
+        assert captured.err == "oil: window [-100,2] has 0 guard-valid Hardy modes, at most bw = 2: need hi >= 6\n"
         assert captured.out == "" and not out.exists()
 
     def test_broken_dilation_postcondition_is_internal_failure(self, tmp_path, monkeypatch, capsys):
@@ -449,6 +449,9 @@ PLANTED_FAULTS = {
     # M_ab off M_a M_b by 1e-9 at ab's first degree: only the defect expansion compares the two
     "deformation-check-product": (["deformation-check", "--eps", "0.4", "--modes", "9"], deformation,
                                   "symbol_product", lambda real: lambda a, b: _nudged(real(a, b), 1e-9)),
+    # T off lambda by 1e-9 relative: only shift_coefficients compares Q with lambda
+    "deformation-check-shift": (["deformation-check", "--eps", "0.4", "--modes", "9"], deformation,
+                                "deformation_operator", lambda real: lambda lam, w: real(lam, w) * (1 + 1e-9)),
     "lemma-check": (["lemma-check", "--p", "2", "--eps", "0.4", "--modes", "4", "--trials", "1"], deformation,
                     "lemma_lower_bound_report",
                     lambda real: lambda params, trials: dataclasses.replace(
@@ -500,6 +503,19 @@ def test_product_fault_fails_through_defect_expansion_alone(symbol_file, tmp_pat
     # Hardy mode is 0, where Q (M_ab - M_a M_b) Q^3 weighs it by q_0^4 = 2^4
     assert faulted["residuals"].pop("defect_expansion") == pytest.approx(1.6e-8, rel=1e-6)
     assert clean["residuals"].pop("defect_expansion") <= TOLERANCES["identity"]
+    assert faulted.pop("pass") is False and clean.pop("pass") is True
+    assert faulted == clean
+
+
+def test_shift_fault_fails_through_shift_coefficients_alone(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("deformation-check-shift", symbol_file, tmp_path, monkeypatch)
+    # q_k = 1 + lambda_k (1 + 1e-9) moves q_{k+1} q_k off 1 + lambda_{k+1} + lambda_k + lambda_k lambda_{k+1}
+    # by about 1e-9 (lambda_{k+1} + lambda_k + 2 lambda_k lambda_{k+1}), up to 1.9e-9 at k = 0
+    assert faulted["residuals"].pop("shift_coefficients") == pytest.approx(1.9e-9, rel=0.05)
+    assert clean["residuals"].pop("shift_coefficients") <= TOLERANCES["identity"]
+    # the expansion is an identity in any diagonal T, so it moves by rounding alone
+    for report in (clean, faulted):
+        assert report["residuals"].pop("defect_expansion") <= TOLERANCES["identity"]
     assert faulted.pop("pass") is False and clean.pop("pass") is True
     assert faulted == clean
 

@@ -21,7 +21,6 @@ from oil import (
     schatten_norm,
     singular_values,
     summability_classify,
-    tail_doubling_ratio,
 )
 from oil.deformation import haar_unitary, lambda_sequence
 from oil import spectral
@@ -237,32 +236,6 @@ class TestFitExponentOracle:
     def test_uncentered_y_fails_the_oracle(self):
         # the planted fault: mean(y) is about -467 here, and sum(x) after centering is rounding, not 0
         assert relative_error(uncentered_y_exponent, "1e-200 k^-0.6, 2^14 points") > Fraction(1e-14)
-
-
-class TestTailDoubling:
-    def test_harmonic(self):
-        # integral-comparison oracle: S_N ~ ln N, so the ratio creeps to 1
-        v = 1.0 / np.arange(1.0, 2**15 + 1)
-        ratio = tail_doubling_ratio(v, 1.0, 2**14)
-        assert 1.0 < ratio < 1.1
-        assert ratio == pytest.approx(1.0 + np.log(2) / np.log(2**14), rel=0.01)
-
-    def test_subcritical_power(self):
-        # pb < 1: ratio -> 2^{1 - pb}
-        v = np.arange(1.0, 2**16 + 1) ** -0.3
-        assert tail_doubling_ratio(v, 2.0, 2**15) == pytest.approx(2 ** (1 - 0.6), rel=0.01)
-
-    def test_geometric(self):
-        v = 2.0 ** -np.arange(64.0)
-        assert tail_doubling_ratio(v, 1.0, 32) == pytest.approx(1.0, abs=1e-9)
-
-    def test_empty_head_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
-            tail_doubling_ratio(np.zeros(16), 1.0, 4)
-
-    def test_length_check(self):
-        with pytest.raises(ValueError, match="2N"):
-            tail_doubling_ratio(np.ones(10), 1.0, 6)
 
 
 class TestIdealSpec:

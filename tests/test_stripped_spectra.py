@@ -196,16 +196,16 @@ def dense_defect_results(a, b, w):
     )
 
 
-# windows by their guard width g = 2 (bw_a + bw_b): symmetric, the edge lo = -1,
-# -lo below and above g, hi + 1 at g + 1 (one guard-valid Hardy mode), and the
-# shortest window the guard allows
+# windows by their guard width g = 2 (bw_a + bw_b) = 2 bw: symmetric, the edge lo = -1,
+# -lo below and above g, hi at g + bw (bw + 1 guard-valid Hardy modes, the fewest
+# `defect` accepts), and the shortest window it accepts
 GUARDED_WINDOWS = {
     "symmetric": lambda g: (-3 * g, 3 * g),
     "lo=-1": lambda g: (-1, 3 * g),
     "-lo<g": lambda g: (-(g // 2), 3 * g),
     "-lo>g": lambda g: (-2 * g, 3 * g),
-    "hi+1=g+1": lambda g: (-3 * g, g),
-    "shortest": lambda g: (-1, 2 * g - 1),
+    "hi=g+bw": lambda g: (-3 * g, g + g // 2),
+    "shortest": lambda g: (-1, 2 * g + g // 2 - 1),
 }
 BANDWIDTHS = [(1, 1), (5, 3), (16, 16)]
 
@@ -284,7 +284,7 @@ class TestDefectCommand:
         want = filled_defect_results(a, b, Window(lo, hi))
         np.testing.assert_allclose(got, want, rtol=TOLERANCES["identity"], atol=0)
 
-    @pytest.mark.parametrize("window", ["symmetric", "lo=-1", "-lo<g", "-lo>g"])
+    @pytest.mark.parametrize("window", sorted(GUARDED_WINDOWS))
     @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
     def test_product_fault_fails_through_hankel_product_alone(self, bw_a, bw_b, window, tmp_path, monkeypatch):
         """M_ab off M_a M_b by 1e-9 on its diagonal bw_a + bw_b above the main one, where it meets the guard band.
@@ -309,15 +309,25 @@ class TestDefectCommand:
         assert faulted["hankel_product"] > TOLERANCES["identity"] >= clean["hankel_product"]
         assert faulted["adjoint_defect"] == clean["adjoint_defect"] == 0.0
 
+    @pytest.mark.parametrize("window", ["hi=g+bw", "shortest"])
+    @pytest.mark.parametrize("cut", ["1", "bw"])
     @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
-    def test_no_guard_valid_hardy_mode_is_usage_error(self, bw_a, bw_b, tmp_path, capsys):
-        """hi + 1 < g leaves the guard band below mode 0, where both residuals would compare nothing."""
-        g = 2 * (bw_a + bw_b)
-        lo, hi = -3 * g, g - 2
+    def test_at_most_bw_guard_valid_hardy_modes_is_usage_error(self, bw_a, bw_b, cut, window, tmp_path, capsys):
+        """The fewest-mode windows with hi cut by 1 or bw modes, which leaves bw guard-valid Hardy modes or one.
+
+        Some diagonal of the band then has no guard-valid entry, where hankel_product could not
+        see a fault.  Cut by bw, they are the two windows with one such mode that were once accepted.
+        """
+        bw = bw_a + bw_b
+        lo, need = GUARDED_WINDOWS[window](2 * bw)
+        hi = need - (1 if cut == "1" else bw)
         a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
         assert main(defect_argv(a, b, lo, hi, tmp_path)) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"oil: window [{lo},{hi}] has no guard-valid Hardy mode: need hi >= {g}\n"
+        modes = bw + 1 - (need - hi)
+        assert captured.err == (
+            f"oil: window [{lo},{hi}] has {modes} guard-valid Hardy modes, at most bw = {bw}: need hi >= {need}\n"
+        )
         assert captured.out == "" and not (tmp_path / "defect.json").exists()
 
 
