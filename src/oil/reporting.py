@@ -23,8 +23,6 @@ def _plain(obj):
         return [_plain(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, float) and not np.isfinite(obj):  # not valid JSON
         return repr(obj)  # "nan", "inf" or "-inf"
     return obj

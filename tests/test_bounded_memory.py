@@ -8,7 +8,6 @@ equal bit for bit, and the traced peaks must stay under bounds that those
 references break.
 """
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from oil import (
 )
 from oil.deformation import FAMILIES
 from oil.spectral import SingularSpectrum, fit_exponent, schatten_norm
+from reference import peak_bytes
 
 MiB = 2**20
 
@@ -59,15 +59,6 @@ def reference_lemma(params: DeformationParams, trials: int) -> tuple:
     return min_gaps, tuple(lhs_norms), s1_res, s2_res
 
 
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("eps", [0.3, 0.5, 1.0, 1.7])  # 0.5 and 1.0 put -1 among the exponents
 @pytest.mark.parametrize("count", [1, 2, 65537, 2**20 + 3])  # 65537: k = 0 and 4 whole blocks; 2^20 + 3 ends in a block of 2
@@ -92,18 +83,18 @@ def test_lemma_matches_the_ambient_unitary(family, n, extra):
 # and 56 MiB for the sweep, and at 20 MiB for the fit
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lambda_holds_one_array(family):
-    assert _peak_bytes(lambda_sequence, 0.4, family, 2**20) <= 8.5 * MiB
+    assert peak_bytes(lambda_sequence, 0.4, family, 2**20) <= 8.5 * MiB
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sweep_holds_one_lambda_sequence(family):
     # lambda and lambda^p for the partial sums, one point at a time
-    assert _peak_bytes(epsilon_sweep, 2.0, [0.3, 0.8], family, 2**20) <= 17 * MiB
+    assert peak_bytes(epsilon_sweep, 2.0, [0.3, 0.8], family, 2**20) <= 17 * MiB
 
 
 def test_fit_reads_a_slice():
     lam = lambda_sequence(0.4, "paper_formula", 2**20)
-    assert _peak_bytes(fit_exponent, lam, 2**18, 2**19) <= 4.5 * MiB  # the logs of 2^18 + 1 entries
+    assert peak_bytes(fit_exponent, lam, 2**18, 2**19) <= 4.5 * MiB  # the logs of 2^18 + 1 entries
 
 
 def test_lemma_forms_no_ambient_unitary():
@@ -111,4 +102,4 @@ def test_lemma_forms_no_ambient_unitary():
     # and two trials, so that one trial's arrays would overlap the next one's
     params = DeformationParams(eps=0.4, p=2.0, family="paper_formula", N=512, M=514, seed=3)
     haar_unitary(1, 0)  # numpy.random's first import is 0.7 MiB, outside the trace
-    assert _peak_bytes(lemma_lower_bound_report, params, 2) <= 17 * MiB
+    assert peak_bytes(lemma_lower_bound_report, params, 2) <= 17 * MiB

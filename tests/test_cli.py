@@ -393,9 +393,6 @@ class TestDispatch:
     def test_deformation_check(self):
         assert main(["deformation-check", "--eps", "0.4", "--modes", "64"]) == 0
 
-    def test_sum_demo(self):
-        assert main(["sum-demo", "--size", "8", "--trials", "3"]) == 0
-
     def test_stinespring_check(self):
         assert main(["stinespring-check", "--maps", "2", "--pairs", "3"]) == 0
 
@@ -457,7 +454,7 @@ PLANTED_FAULTS = {
                     lambda real: lambda params, trials: dataclasses.replace(
                         real(params, trials), min_gaps=np.minimum(real(params, trials).min_gaps, -1e-6))),
 }
-UNCHECKED = {"spectrum", "sweep"}  # no residual yet (ROADMAP items 3-4), so nothing can turn them FAIL
+UNCHECKED = {"spectrum", "sweep"}  # no residual yet (ROADMAP items 5 and 7), so nothing can turn them FAIL
 
 
 @pytest.mark.parametrize("argv, module, name, fault", PLANTED_FAULTS.values(), ids=list(PLANTED_FAULTS))

@@ -20,8 +20,7 @@ from oil import (
 )
 from oil import deformation, spectral
 from oil.spectral import SingularSpectrum, fit_exponent, schatten_norm
-
-Z = make_symbol([(1, 1.0)])
+from reference import Z, ZBAR, deformed_q, lemma, multiplication
 
 
 class TestLambdaSequence:
@@ -163,10 +162,9 @@ class TestDefectExpansion:
     def test_residual_tiny(self):
         w = Window(-16, 80)
         t = deformation_operator(lambda_sequence(0.4, "paper_formula", 81), Window(0, 80))
-        zbar = make_symbol([(-1, 1.0)])
         both = make_symbol([(1, 1.0), (-1, 1.0)])
         for a in (Z, both):
-            for b in (zbar, both):
+            for b in (ZBAR, both):
                 assert deformation_defect_residuals(t, a, b, w) <= 1e-12
 
     def test_zero_deformation_analytic_defect_vanishes(self):
@@ -221,10 +219,8 @@ class TestLemmaLowerBound:
 
     def test_identity_unitary_per_mode_bound(self):
         # with U = 1 the per-mode bound (c_k)^2 - lambda_k^2 >= 0 is tight
-        params = DeformationParams(eps=0.4, p=2.0, family="paper_formula", N=32, M=34, seed=0)
-        lam = lambda_sequence(0.4, "paper_formula", 34)
-        shift = np.eye(34, k=-1).astype(complex)
-        q = np.diag(1.0 + lam)
+        lam, w = lambda_sequence(0.4, "paper_formula", 34), Window(0, 33)
+        shift, q = multiplication(Z, w), deformed_q(lam, w)
         big_l = shift - q @ shift @ q
         gaps = np.real(np.diag(big_l.conj().T @ big_l))[:32] - lam[:32] ** 2
         c = lam[1:33] + lam[:32] + lam[:32] * lam[1:33]
@@ -245,9 +241,8 @@ class TestLemmaLowerBound:
     @pytest.mark.parametrize("eps, n", [(0.05, 8), (0.4, 32), (1.3, 129)])
     def test_s2_matches_dense_gram_diagonal(self, family, eps, n):
         # the dense reference: diag(deformed^* deformed) with deformed = (P+T) a (P+T), a(z) = z
-        lam = lambda_sequence(eps, family, n + 2)
-        q = np.diag(1.0 + lam).astype(complex)
-        deformed = q @ np.eye(n + 2, k=-1) @ q
+        lam, w = lambda_sequence(eps, family, n + 2), Window(0, n + 1)
+        deformed = deformed_q(lam, w) @ multiplication(Z, w) @ deformed_q(lam, w)
         s2 = np.real(np.diag(deformed.conj().T @ deformed)[:n])
         assert np.array_equal(s2, np.real(np.diag(deformed, -1)[:n]) ** 2)
         coeff = 1.0 + lam[1 : n + 1] + lam[:n] + lam[:n] * lam[1 : n + 1]
@@ -260,16 +255,10 @@ class TestLemmaLowerBound:
     def test_column_norms_match_dense_gram_diagonals(self, family, n):
         # the dense reference: diag(L^* L) and diag(conj^* conj) with conj = U^* a U, a(z) = z
         params = DeformationParams(eps=0.4, p=2.0, family=family, N=n, M=n + 2, seed=5)
-        m, trials = n + 2, 3
-        lam = lambda_sequence(0.4, family, m)
-        q = np.diag(1.0 + lam).astype(complex)
-        shift = np.eye(m, k=-1).astype(complex)
-        min_gaps, s1_res = np.full(n, np.inf), 0.0
+        lam = lambda_sequence(0.4, family, n + 2)
+        min_gaps, s1_res, trials = np.full(n, np.inf), 0.0, 3
         for t in range(trials):
-            u = np.eye(m, dtype=complex)
-            u[:n, :n] = haar_unitary(n, params.seed ^ t)
-            conj = u.conj().T @ shift @ u
-            big_l = conj - q @ shift @ q
+            conj, big_l = lemma(params, t)
             gaps = np.real(np.diag(big_l.conj().T @ big_l))[:n] - lam[:n] ** 2
             min_gaps = np.minimum(min_gaps, gaps)
             s1 = np.real(np.diag(conj.conj().T @ conj))[:n]
@@ -285,16 +274,10 @@ class TestLemmaLowerBound:
     def test_report_matches_the_dense_formula(self, n, extra, p, family):
         # the dense reference: L = U^* a U - (P+T) a (P+T) by m x m products, a(z) = z
         params = DeformationParams(eps=0.4, p=p, family=family, N=n, M=n + extra, seed=9)
-        m, trials = n + extra, 2
-        lam = lambda_sequence(0.4, family, m)
-        q = np.diag(1.0 + lam).astype(complex)
-        shift = np.eye(m, k=-1).astype(complex)
-        min_gaps, lhs_norms, s1_res = np.full(n, np.inf), [], 0.0
+        lam = lambda_sequence(0.4, family, n + extra)
+        min_gaps, lhs_norms, s1_res, trials = np.full(n, np.inf), [], 0.0, 2
         for t in range(trials):
-            u = np.eye(m, dtype=complex)
-            u[:n, :n] = haar_unitary(n, params.seed ^ t)
-            conj = u.conj().T @ shift @ u
-            big_l = conj - q @ shift @ q
+            conj, big_l = lemma(params, t)
             min_gaps = np.minimum(min_gaps, np.sum(np.abs(big_l[:, :n]) ** 2, axis=0) - lam[:n] ** 2)
             s1_res = max(s1_res, float(np.max(np.abs(np.sum(np.abs(conj[:, :n]) ** 2, axis=0) - 1.0))))
             mu = np.linalg.svd(big_l, compute_uv=False)

@@ -15,9 +15,7 @@ from oil import (
     singular_values,
     symbol_conjugate,
 )
-from oil.extensions import interleaving_swap
-
-Z = make_symbol([(1, 1.0)])
+from reference import ONE, Z, interleavings, merged_spectrum, random_matrix
 
 
 class TestIsometries:
@@ -55,27 +53,17 @@ class TestExtensionSum:
     def test_spectrum_merge(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
-            a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-            b = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+            a, b = random_matrix(rng, 16), random_matrix(rng, 16)
             s = extension_sum(self._wrap(a), self._wrap(b))
-            merged = np.sort(
-                np.concatenate(
-                    [
-                        np.linalg.svd(a, compute_uv=False),
-                        np.linalg.svd(b, compute_uv=False),
-                    ]
-                )
-            )[::-1]
             got = np.linalg.svd(s.entries, compute_uv=False)
-            np.testing.assert_allclose(got, merged, atol=1e-10)
+            np.testing.assert_allclose(got, merged_spectrum(a, b), atol=1e-10)
 
     def test_swap_conjugation(self):
         rng = np.random.default_rng(2)
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        a, b = random_matrix(rng, 8), random_matrix(rng, 8)
         s_ab = extension_sum(self._wrap(a), self._wrap(b)).entries
         s_ba = extension_sum(self._wrap(b), self._wrap(a)).entries
-        swap = interleaving_swap(8)
+        _, _, swap = interleavings(8)
         np.testing.assert_allclose(s_ba, swap @ s_ab @ swap.conj().T, atol=1e-14)
 
     def test_window_mismatch(self):
@@ -88,7 +76,7 @@ class TestExtensionSum:
 class TestInverseIdentity:
     @pytest.mark.parametrize(
         "sym",
-        [make_symbol([(0, 1.0)]), Z, make_symbol([(1, 1.0), (-1, 1.0)])],
+        [ONE, Z, make_symbol([(1, 1.0), (-1, 1.0)])],
     )
     def test_residuals(self, sym):
         r_u, r_p, r_id = inverse_identity_residuals(sym, Window(-12, 60))

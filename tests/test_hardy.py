@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oil import (
@@ -23,13 +23,10 @@ from oil import (
     toeplitz_compress,
 )
 from oil.hardy import _opnorm
-
-Z = make_symbol([(1, 1.0)])
-ZBAR = make_symbol([(-1, 1.0)])
-ONE = make_symbol([(0, 1.0)])
+from reference import ONE, Z, ZBAR, seeded_symbol, widom
 
 
-def symbols(max_degree=4):
+def symbol_strategy(max_degree=4):
     coeff = st.complex_numbers(min_magnitude=0, max_magnitude=3, allow_nan=False, allow_infinity=False)
     return st.dictionaries(st.integers(-max_degree, max_degree), coeff, max_size=5).map(
         lambda d: make_symbol(d.items())
@@ -94,7 +91,7 @@ class TestSymbol:
         c = make_symbol([(0, 2.5)])
         assert symbol_conjugate(c) == c
 
-    @given(symbols(), symbols())
+    @given(symbol_strategy(), symbol_strategy())
     @settings(max_examples=50, deadline=None)
     def test_product_bandwidth_bound(self, a, b):
         assert symbol_product(a, b).bandwidth <= a.bandwidth + b.bandwidth
@@ -178,7 +175,7 @@ class TestOperators:
         nb = np.linalg.norm(projection_commutator(shifted, w).entries, 2)
         assert abs(na - nb) < 1e-14
 
-    @given(symbols(3))
+    @given(symbol_strategy(3))
     @settings(max_examples=40, deadline=None)
     def test_hankel_zero_iff_analytic(self, a):
         h = hankel_operator(a, Window(-8, 8)).entries
@@ -211,34 +208,16 @@ class TestSplittingDefect:
         sl = guard_slice(w, 2, 2 * a.bandwidth)
         assert np.max(np.abs(adjoint.entries[sl, sl])) == 0.0
 
-    def test_hankel_product_form(self):
-        # oracle: direct matrix algebra P M_a (1-P) M_b P
-        w = Window(-12, 12)
-        a = make_symbol([(1, 1.0), (-2, 0.5j)])
-        b = make_symbol([(-1, 2.0), (1, -1j)])
-        product, _ = splitting_defect(a, b, w)
-        p = hardy_projection(w).entries
-        ma = multiplication_operator(a, w).entries
-        mb = multiplication_operator(b, w).entries
-        oracle = p @ ma @ (np.eye(w.dimension) - p) @ mb @ p
-        sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
-        np.testing.assert_allclose(
-            product.entries[sl, sl], oracle[sl, sl], atol=1e-12
-        )
-
     def test_guard_violation_names_required_size(self):
         with pytest.raises(GuardBandError, match="need dimension > 16"):
             splitting_defect(make_symbol([(2, 1.0)]), make_symbol([(2, 1.0)]), Window(-5, 5))
 
-    @given(symbols(3), symbols(3))
+    @given(symbol_strategy(3), symbol_strategy(3), st.just(Window(-30, 30)))
+    @example(make_symbol([(1, 1.0), (-2, 0.5j)]), make_symbol([(-1, 2.0), (1, -1j)]), Window(-12, 12))
     @settings(max_examples=30, deadline=None)
-    def test_hankel_product_form_property(self, a, b):
-        w = Window(-30, 30)
+    def test_hankel_product_form_property(self, a, b, w):
         product, adjoint = splitting_defect(a, b, w)
-        p = hardy_projection(w).entries
-        ma = multiplication_operator(a, w).entries
-        mb = multiplication_operator(b, w).entries
-        oracle = p @ ma @ (np.eye(w.dimension) - p) @ mb @ p
+        oracle = widom(a, b, w)
         sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs((product.entries - oracle)[sl, sl])) < 1e-12 * scale
@@ -266,10 +245,7 @@ class TestRotation:
 
     @pytest.mark.parametrize("bw, lo, hi", [(3, -40, 40), (32, -300, 300), (8, -2048, 2048)])
     def test_quarter_turn_is_exact(self, bw, lo, hi):
-        rng = np.random.default_rng(bw)
-        degs = range(-bw, bw + 1)
-        a = make_symbol(zip(degs, rng.normal(size=len(degs)) + 1j * rng.normal(size=len(degs))))
-        w = Window(lo, hi)
+        a, w = seeded_symbol(bw, seed=bw), Window(lo, hi)
         assert quarter_turn_mismatches(a, w) == 0
         # a flipped sign turns R the other way: the entries at odd offsets j - k, 2 (n - m) of each
         n = hi + 1

@@ -8,7 +8,6 @@ rationals, which the Kronecker rank theorem predicts wherever the window is
 wide enough.
 """
 
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +32,7 @@ from oil import (
 )
 from oil.cli import main
 from oil.hardy import TOLERANCES, _rank
+from reference import Z, peak_bytes
 
 # narrower than the bandwidth on one or both sides (lo = -1, hi = 0), lopsided, symmetric
 WINDOWS = [(-1, 0), (-1, 6), (-6, 0), (-2, 3), (-3, 2), (-7, 7), (-12, 9)]
@@ -153,7 +153,7 @@ def test_blocks_lie_in_disjoint_rows_and_columns_of_the_window(lo, hi):
 
 def test_writes_through_entries_cannot_change_an_operator():
     w = Window(-3, 3)
-    op = toeplitz_compress(make_symbol([(1, 1.0)]), w)
+    op = toeplitz_compress(Z, w)
     before = singular_values(op).values
     op.entries[4, 4] = np.nan  # a block operator's entries is a fresh array
     assert np.array_equal(singular_values(op).values, before)
@@ -174,15 +174,6 @@ def test_a_write_through_the_callers_array_does_not_reach_a_dense_operator():
     assert np.array_equal(op.entries, np.eye(7))
 
 
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("build", [hankel_operator, projection_commutator])
 def test_spectrum_forms_no_window_matrix(build):
     w = Window(-2048, 2048)  # d = 4097: one complex d x d matrix is 256 MiB
@@ -192,23 +183,23 @@ def test_spectrum_forms_no_window_matrix(build):
     def spectrum():
         assert singular_values(build(a, w)).values.shape == (w.dimension,)
 
-    assert _peak_bytes(spectrum) < 32 * 2**20
+    assert peak_bytes(spectrum) < 32 * 2**20
 
 
 def test_inverse_identity_forms_no_window_matrix():
     # d = 4097: one complex d x d temporary is 256 MiB; M_a's band here is 4091 x 7 entries
     w = Window(-2048, 2048)
     mix = make_symbol([(1, 1.0), (-1, 1.0), (2, 0.5), (-3, 0.25)])
-    assert _peak_bytes(inverse_identity_residuals, mix, w) < 4 * 2**20
+    assert peak_bytes(inverse_identity_residuals, mix, w) < 4 * 2**20
 
 
 def test_deformation_forms_no_window_matrix():
     # 4096 modes: one complex d x d temporary on the expansion's window [-16, 4095] is 270 MB
     t = deformation_operator(lambda_sequence(0.4, "paper_formula", 4096), Window(0, 4095))
     both = make_symbol([(1, 1.0), (-1, 1.0)])
-    assert _peak_bytes(deformation_defect_residuals, t, both, both, Window(-16, 4095)) < 16 * 2**20
+    assert peak_bytes(deformation_defect_residuals, t, both, both, Window(-16, 4095)) < 16 * 2**20
     argv = ["deformation-check", "--eps", "0.4", "--modes", "4096"]
-    assert _peak_bytes(main, argv) < 16 * 2**20
+    assert peak_bytes(main, argv) < 16 * 2**20
     assert main(argv) == 0
 
 
@@ -217,7 +208,7 @@ def test_defect_forms_no_window_matrix(tmp_path):
     mix = tmp_path / "mix.json"
     mix.write_text("[[1, 1, 0], [-1, 1, 0], [2, 0.5, 0], [-3, 0.25, 0]]")
     argv = ["defect", "--symbol-a", str(mix), "--lo", "-2048", "--hi", "2048"]
-    assert _peak_bytes(main, argv) < 4 * 2**20
+    assert peak_bytes(main, argv) < 4 * 2**20
     assert main(argv) == 0
 
 

@@ -12,14 +12,11 @@ from oil import (
 )
 from oil.cli import main
 from oil.hardy import _frobenius, _opnorm
+from reference import random_matrix
 
 
 def opnorm(x):
     return np.linalg.norm(x, 2)
-
-
-def random_matrix(rng, n):
-    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
 
 
 def dense_rep(d, a):

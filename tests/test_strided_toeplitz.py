@@ -3,16 +3,14 @@
 multiplication_operator returns a read-only view of 2d - 1 coefficients, the
 compressions copy their quadrants out of that view, and splitting_defect
 forms the product defect's two corner blocks and the adjoint defect's
-Toeplitz view from four such views.  The references here are the earlier
-forms: one fancy-indexed += per coefficient into a d x d zero matrix,
-quadrant copies of that matrix, and the defects over the full window.
+Toeplitz view from four such views.  The references are the dense model's
+d x d forms: M_a as a sum of shifted identities, quadrant copies of it, and
+the defects over the full window.
 Report bytes read the signs of exact zeros, so every output is compared bit
 for bit, as uint64, not by value; only the product defect's blocks, smaller
 products than the full window's that round differently, are compared within
 the identity tolerance.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,17 +29,10 @@ from oil import (
     toeplitz_compress,
 )
 from oil.hardy import TOLERANCES
+from reference import multiplication, peak_bytes, quadrants, seeded_symbol, toeplitz_defects
 
 # Hardy-only, the edge windows lo = -1 and hi = 0, asymmetric, and d = 385
 WINDOWS = [(0, 12), (0, 40), (-1, 20), (-1, 0), (-15, 0), (-7, 30), (-30, 5), (-192, 192)]
-
-
-def seeded_symbol(bandwidth: int, seed: int, real: bool = False):
-    """Random coefficients at every degree in [-bandwidth, bandwidth]."""
-    rng = np.random.default_rng(seed)
-    degs = np.arange(-bandwidth, bandwidth + 1)
-    amps = rng.normal(size=degs.size) + (0 if real else 1j * rng.normal(size=degs.size))
-    return make_symbol(zip(degs.tolist(), amps.tolist()))
 
 
 def symbols(d: int):
@@ -65,43 +56,13 @@ def bits(x) -> np.ndarray:
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def reference_multiplication(a, w: Window) -> np.ndarray:
-    d = w.dimension
-    m = np.zeros((d, d), dtype=complex)
-    for deg, amp in a.coefficients:
-        if abs(deg) < d:
-            k = np.arange(d - abs(deg))
-            m[k + max(deg, 0), k + max(-deg, 0)] += amp
-    return m
-
-
-def reference_quadrants(x: np.ndarray, w: Window, *keep: str) -> np.ndarray:
-    sides = {"-": slice(0, -w.lo), "+": slice(-w.lo, None)}
-    out = np.zeros_like(x)
-    for rows, cols in keep:
-        out[sides[rows], sides[cols]] = x[sides[rows], sides[cols]]
-    return out
-
-
 def reference_builders(a, w: Window) -> dict:
-    m = reference_multiplication(a, w)
-    out = {"mult": m, "toeplitz": reference_quadrants(m, w, "++")}
+    m = multiplication(a, w)
+    out = {"mult": m, "toeplitz": quadrants(m, w, "++")}
     if w.lo < 0:
-        out["hankel"] = reference_quadrants(m, w, "-+")
-        out["commutator"] = reference_quadrants(m, w, "+-") - reference_quadrants(m, w, "-+")
+        out["hankel"] = quadrants(m, w, "-+")
+        out["commutator"] = quadrants(m, w, "+-") - quadrants(m, w, "-+")
     return out
-
-
-def reference_splitting_defect(a, b, w: Window):
-    q = slice(-w.lo, None)
-
-    def compress(x):
-        return reference_quadrants(reference_multiplication(x, w), w, "++")
-
-    ta, tb = compress(a), compress(b)
-    tab, tconj = compress(symbol_product(a, b)), compress(symbol_conjugate(a))
-    tab[q, q] -= ta[q, q] @ tb[q, q]
-    return tab, tconj - ta.conj().T
 
 
 BUILDERS = {
@@ -138,7 +99,7 @@ def test_splitting_defect_matches_the_full_window(lo, hi, name):
         if w.dimension <= 4 * (a.bandwidth + b.bandwidth):
             continue  # not guard-valid at depth 2
         product, adjoint = splitting_defect(a, b, w)
-        want_product, want_adjoint = reference_splitting_defect(a, b, w)
+        want_product, want_adjoint = toeplitz_defects(a, b, w)
         assert np.array_equal(bits(adjoint.entries), bits(want_adjoint))
         off = np.ones(want_product.shape, dtype=bool)
         for rows, cols, x in product.blocks:
@@ -166,15 +127,6 @@ def test_other_builders_return_fresh_writable_arrays():
         assert not any(np.shares_memory(x, y) for y in outs[i + 1 :])
 
 
-def _peak_bytes(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_memory_of_the_view_and_the_commutator():
     # d = 2049: one complex d x d matrix is 64 MiB, and a scan of M_a's view a 4 MiB bool
     # temporary; the 2d - 1 coefficients take 64 KiB, and every block below is a view of them
@@ -182,7 +134,7 @@ def test_memory_of_the_view_and_the_commutator():
     a = seeded_symbol(32, seed=3)
     mib = 2**20
     for builder in BUILDERS.values():
-        assert _peak_bytes(builder, a, w) < mib, builder.__name__
+        assert peak_bytes(builder, a, w) < mib, builder.__name__
 
 
 @pytest.mark.parametrize("strided", [False, True])

@@ -33,12 +33,11 @@ from oil import (
     projection_commutator,
     singular_values,
     splitting_defect,
-    symbol_conjugate,
-    symbol_product,
     toeplitz_compress,
 )
 from oil.cli import main
 from oil.hardy import RANK_CUTOFF, TOLERANCES, _opnorm, _schur_bound
+from reference import seeded_symbol, toeplitz_defects, widom
 
 OPS = {
     "toeplitz": toeplitz_compress,
@@ -49,14 +48,6 @@ OPS = {
 # (lo, hi): symmetric up to d = 385, lopsided, and the edge window lo = -1
 WINDOWS = [(-192, 192), (-64, 64), (-20, 100), (-100, 20), (-1, 40)]
 BANDWIDTHS = [1, 5, 32]
-
-
-def seeded_symbol(bandwidth: int, seed: int):
-    """Random complex coefficients at every degree in [-bandwidth, bandwidth]."""
-    rng = np.random.default_rng(seed)
-    degs = np.arange(-bandwidth, bandwidth + 1)
-    amps = rng.normal(size=degs.size) + 1j * rng.normal(size=degs.size)
-    return make_symbol(zip(degs.tolist(), amps.tolist()))
 
 
 def dense_svd(x) -> np.ndarray:
@@ -152,9 +143,7 @@ class TestQuadrantProduct:
         w = Window(lo, hi)
         a, b = seeded_symbol(bw_a, seed=hi), seeded_symbol(bw_b, seed=-lo)
         product, _ = splitting_defect(a, b, w)
-        ta = toeplitz_compress(a, w).entries
-        tb = toeplitz_compress(b, w).entries
-        dense = toeplitz_compress(symbol_product(a, b), w).entries - ta @ tb
+        dense, _ = toeplitz_defects(a, b, w)
         sl = guard_slice(w, 2, bw_a + bw_b)
         assert np.max(np.abs(product.entries - dense)[sl, sl]) <= TOLERANCES["identity"]
         outside = np.ones((w.dimension, w.dimension), dtype=bool)
@@ -171,27 +160,13 @@ class TestQuadrantProduct:
         assert [x.shape for x in svd_calls] == [(7, 7)]
 
 
-def quadrants(x, w, *keep):
-    """Copy of x, zero outside the kept quadrants of the split at mode 0 ("+-": P x (1-P))."""
-    sides = {"-": slice(0, -w.lo), "+": slice(-w.lo, None)}
-    out = np.zeros_like(x)
-    for rows, cols in keep:
-        out[sides[rows], sides[cols]] = x[sides[rows], sides[cols]]
-    return out
-
-
 def dense_defect_results(a, b, w):
     """defect_norm, hankel_product and adjoint_defect from d x d matrices, norms and a count."""
-    ta, tb = toeplitz_compress(a, w).entries, toeplitz_compress(b, w).entries
-    product = toeplitz_compress(symbol_product(a, b), w).entries - ta @ tb
-    adjoint = toeplitz_compress(symbol_conjugate(a), w).entries - ta.conj().T
-    ma = multiplication_operator(a, w).entries
-    mb = multiplication_operator(b, w).entries
-    widom = quadrants(quadrants(ma, w, "+-") @ mb, w, "++")  # P M_a (1-P) M_b P
+    product, adjoint = toeplitz_defects(a, b, w)
     sl = guard_slice(w, 2, a.bandwidth + b.bandwidth)
     return (
         dense_svd(product)[0],
-        dense_svd((product - widom)[sl, sl])[0],
+        dense_svd((product - widom(a, b, w))[sl, sl])[0],
         float(np.count_nonzero(adjoint)),
     )
 
@@ -207,7 +182,7 @@ GUARDED_WINDOWS = {
     "hi=g+bw": lambda g: (-3 * g, g + g // 2),
     "shortest": lambda g: (-1, 2 * g + g // 2 - 1),
 }
-BANDWIDTHS = [(1, 1), (5, 3), (16, 16)]
+BANDWIDTH_PAIRS = [(1, 1), (5, 3), (16, 16)]
 
 
 def filled_defect_results(a, b, w):
@@ -232,10 +207,10 @@ def filled_defect_results(a, b, w):
 
 
 DEFECT_WINDOWS = {**GUARDED_WINDOWS, "lo=0": lambda g: (0, 3 * g)}
-# (bw_a, bw_b, window): every BANDWIDTHS x GUARDED_WINDOWS case, then windows
+# (bw_a, bw_b, window): every BANDWIDTH_PAIRS x GUARDED_WINDOWS case, then windows
 # with no negative mode, a constant symbol on either side, and b = a (bw_b
 # None: `oil defect` without --symbol-b)
-DEFECT_CASES = [(bw_a, bw_b, window) for bw_a, bw_b in BANDWIDTHS for window in sorted(GUARDED_WINDOWS)] + [
+DEFECT_CASES = [(bw_a, bw_b, window) for bw_a, bw_b in BANDWIDTH_PAIRS for window in sorted(GUARDED_WINDOWS)] + [
     (1, 1, "lo=0"), (5, 3, "lo=0"), (16, 16, "lo=0"),
     (0, 5, "symmetric"), (5, 0, "symmetric"), (0, 5, "lo=-1"), (5, 0, "-lo<g"), (0, 3, "lo=0"),
     (5, None, "symmetric"), (16, None, "lo=-1"), (3, None, "lo=0"),
@@ -253,7 +228,7 @@ def defect_argv(a, b, lo, hi, tmp_path):
 
 class TestDefectCommand:
     @pytest.mark.parametrize("window", sorted(GUARDED_WINDOWS))
-    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTH_PAIRS)
     def test_matches_dense_widom_form(self, bw_a, bw_b, window, tmp_path, svd_calls):
         lo, hi = GUARDED_WINDOWS[window](2 * (bw_a + bw_b))
         a, b = seeded_symbol(bw_a, seed=3 * hi), seeded_symbol(bw_b, seed=5 - lo)
@@ -285,7 +260,7 @@ class TestDefectCommand:
         np.testing.assert_allclose(got, want, rtol=TOLERANCES["identity"], atol=0)
 
     @pytest.mark.parametrize("window", sorted(GUARDED_WINDOWS))
-    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTH_PAIRS)
     def test_product_fault_fails_through_hankel_product_alone(self, bw_a, bw_b, window, tmp_path, monkeypatch):
         """M_ab off M_a M_b by 1e-9 on its diagonal bw_a + bw_b above the main one, where it meets the guard band.
 
@@ -311,7 +286,7 @@ class TestDefectCommand:
 
     @pytest.mark.parametrize("window", ["hi=g+bw", "shortest"])
     @pytest.mark.parametrize("cut", ["1", "bw"])
-    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTHS)
+    @pytest.mark.parametrize("bw_a, bw_b", BANDWIDTH_PAIRS)
     def test_at_most_bw_guard_valid_hardy_modes_is_usage_error(self, bw_a, bw_b, cut, window, tmp_path, capsys):
         """The fewest-mode windows with hi cut by 1 or bw modes, which leaves bw guard-valid Hardy modes or one.
 
