@@ -7,8 +7,10 @@ Runs `oil spectrum --op hankel|commutator`, `defect`, `inverse-check` and
 for k = 10 ... 16: the window [-2^(k-1), 2^(k-1)], or 2^k modes for
 `deformation-check`, whose defect window adds 16 negative modes;
 `defect-wide`, `defect` at the same windows on the pair wide32.json and
-wide8.json of bandwidths 32 and 8, whose corner blocks are wider; and
-`sweep --family paper --steps 2` at --max-index 2^(k+8) = 2^18 ... 2^24.
+wide8.json of bandwidths 32 and 8, whose corner blocks are wider;
+`sweep --family paper --steps 2` at --max-index 2^(k+8) = 2^18 ... 2^24; and
+`stinespring`, `stinespring-check --n 2^(k-6) --m 2^(k-6) --r 8 --maps 1
+--pairs 1`, one map and one pair dilated into 9 * 2^(k-6) ambient modes.
 Each rung runs in a child process whose address space is capped at 3 GiB,
 so a rung that needs more ends in the CLI's out-of-memory exit (1).  A child
 still running after 30 s is killed, and its command climbs no further.  The oil
@@ -46,6 +48,8 @@ COMMANDS = {  # argv after `oil`, at rung k
     "deformation-check": lambda k: ["deformation-check", "--eps", "0.4", "--modes", str(2**k)],
     "sweep": lambda k: ["sweep", "--p", "2", "--eps-min", "0.3", "--eps-max", "0.8", "--steps", "2",
                         "--family", "paper", "--max-index", str(2 ** (k + 8))],
+    "stinespring": lambda k: ["stinespring-check", "--n", str(2 ** (k - 6)), "--m", str(2 ** (k - 6)), "--r", "8",
+                              "--maps", "1", "--pairs", "1"],
 }
 
 

@@ -102,9 +102,7 @@ def quadratic_identity_residual(eps: float, w: Window) -> float:
     # every factor is diagonal on the Hardy window (P is the identity),
     # so the residual can be evaluated entrywise
     t = -lambda_sequence(eps, "paper_formula", w.dimension)
-    k = np.arange(w.dimension, dtype=float)
-    inv = np.ones(w.dimension)
-    inv[1:] = 1.0 / (1.0 + k[1:] ** (2.0 * eps))
+    inv = 1.0 / (1.0 + np.arange(w.dimension, dtype=float) ** (2.0 * eps))  # 1 at k = 0, where 0^(2 eps) = 0
     lhs = (t + 1.0) ** 2 - 1.0
     return float(np.max(np.abs(lhs + inv)))
 

@@ -102,15 +102,21 @@ class DilationData:
     def ambient_dim(self) -> int:
         return self.cp.n * self.cp.r + self.cp.m
 
-    def rep(self, a: np.ndarray) -> np.ndarray:
-        """Dilation homomorphism pi(a)."""
+    def rep(self, a: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """pi(a)[rows, cols], all of pi(a) by default, with no other entry of pi(a) formed."""
+        return self._kraus_product(a, rows, self.omega[: self.cp.n * self.cp.r, cols])
+
+    def rep_times(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """pi(a) v for a block v of ambient vectors, with no ambient matrix formed."""
+        return self._kraus_product(a, slice(None), self.omega[: self.cp.n * self.cp.r] @ v)
+
+    def _kraus_product(self, a, rows, right) -> np.ndarray:
+        """W[:, rows]^* (1_r (x) a) right, with W the first n r rows of Omega, so that pi(a) = W^* (1_r (x) a) W."""
         a = np.asarray(a, dtype=complex)
         n, r = self.cp.n, self.cp.r
         if a.shape != (n, n):
             raise ValueError(f"expected {n}x{n} input, got {a.shape}")
-        # sum_i Omega_i^* a Omega_i over the Kraus rows Omega_i; the 0_m block adds nothing
-        top = self.omega[: n * r]
-        return top.conj().T @ (a @ top.reshape(r, n, -1)).reshape(n * r, -1)
+        return self.omega[: n * r, rows].conj().T @ (a @ right.reshape(r, n, -1)).reshape(n * r, -1)
 
     def blocks(self, a: np.ndarray):
         """(pi11, pi12, pi21, pi22) relative to the corner projection."""

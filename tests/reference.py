@@ -2,10 +2,11 @@
 
 Each operator is its textbook d x d matrix on the window's modes: M_a as a
 sum of np.eye shifts, P = diag(modes >= 0) or its quadrant mask, Q = P + T
-as a diagonal matrix, and V1, V2 and the swap as 0/1 matrices.  Each
-identity is its dense formula.  No function here calls the oil code that it
-is compared with: oil supplies only the inputs, which are symbols and their
-algebra, lambda sequences and Haar unitaries.
+as a diagonal matrix, V1, V2 and the swap as 0/1 matrices, and a dilation's
+pi(a) as Omega^* ((1_r (x) a) + 0_m) Omega.  Each identity is its dense
+formula.  No function here calls the oil code that it is compared with: oil
+supplies only the inputs, which are symbols and their algebra, lambda
+sequences, Haar unitaries and a dilation's Omega.
 """
 
 import tracemalloc
@@ -40,6 +41,14 @@ def sparse_symbol(bandwidth: int, seed: int):
 def random_matrix(rng, n: int) -> np.ndarray:
     """An n x n matrix of independent complex Gaussians: the real parts drawn first, then the imaginary parts."""
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def zero_signs_flipped(x: np.ndarray) -> np.ndarray:
+    """A copy of x with every exact zero of its real and imaginary parts made -0.0, which LAPACK's SVD reads."""
+    flipped = x.copy()
+    flipped.real[x.real == 0] = -0.0
+    flipped.imag[x.imag == 0] = -0.0
+    return flipped
 
 
 def multiplication(a, w: Window) -> np.ndarray:
@@ -134,6 +143,14 @@ def lemma(params, t: int) -> tuple[np.ndarray, np.ndarray]:
     shift, q = multiplication(Z, w), deformed_q(lambda_sequence(params.eps, params.family, m), w)
     conj = u.conj().T @ shift @ u
     return conj, conj - q @ shift @ q
+
+
+def dense_rep(d, a) -> np.ndarray:
+    """The dilation's pi(a) = Omega^* ((1_r (x) a) + 0_m) Omega, with the dense middle factor."""
+    n, r = d.cp.n, d.cp.r
+    big = np.zeros((d.ambient_dim, d.ambient_dim), dtype=complex)
+    big[: n * r, : n * r] = np.kron(np.eye(r), a)
+    return d.omega.conj().T @ big @ d.omega
 
 
 def peak_bytes(fn, *args) -> int:

@@ -23,6 +23,7 @@ from oil import (
 from oil.cli import _within, build_parser, main
 from oil.hardy import TOLERANCES
 from oil.reporting import UsageError, load_symbol_file, write_report
+from reference import dense_rep, random_matrix
 
 
 @pytest.fixture
@@ -417,6 +418,17 @@ def _nudged(sym, by=None):
     return hardy.make_symbol([(deg, complex(up, amp.imag)), *rest])
 
 
+def _last_column_scaled(real):
+    """np.linalg.qr with Q's last column scaled by 1 + 1e-11: in dilation_build, Omega's last completion column."""
+
+    def qr(w, mode="reduced"):
+        q, r = real(w, mode=mode)
+        q[:, -1] *= 1 + 1e-11
+        return q, r
+
+    return qr
+
+
 # One library call per checked subcommand, called through its module by the
 # handler, and a fault built from the real call that breaks one residual.
 PLANTED_FAULTS = {
@@ -432,6 +444,9 @@ PLANTED_FAULTS = {
     "stinespring-check": (["stinespring-check", "--maps", "1", "--pairs", "1"], stinespring,
                           "block_residuals",
                           lambda real: lambda cp, a, b, *blocks: tuple(r + 1e-6 for r in real(cp, a, b, *blocks))),
+    # ||Omega^* Omega - 1||_F ~ 2e-11 passes dilation_build's check; only homomorphism compares pi(a) pi(b) with pi(ab)
+    "stinespring-check-completion": (["stinespring-check", "--n", "32", "--m", "32", "--r", "8", "--maps", "1",
+                                      "--pairs", "1"], np.linalg, "qr", _last_column_scaled),
     "sum-demo": (["sum-demo", "--size", "4", "--trials", "1"], extensions, "extension_sum",
                  lambda real: lambda a, b: WindowedOperator(real(a, b).window, real(a, b).entries + 1e-6)),
     # B and B^T share a spectrum, so spectrum_merge passes: only the swap count sees it
@@ -515,6 +530,27 @@ def test_shift_fault_fails_through_shift_coefficients_alone(symbol_file, tmp_pat
         assert report["residuals"].pop("defect_expansion") <= TOLERANCES["identity"]
     assert faulted.pop("pass") is False and clean.pop("pass") is True
     assert faulted == clean
+
+
+def test_completion_fault_fails_through_homomorphism_alone(symbol_file, tmp_path, monkeypatch):
+    clean, faulted = _clean_and_faulted("stinespring-check-completion", symbol_file, tmp_path, monkeypatch)
+    # measured: ekv1 3.7e-11, ekv2 2.1e-11 and compression 1.6e-15 stay within the tolerance; homomorphism 8.8e-10
+    assert faulted["residuals"].pop("homomorphism") > TOLERANCES["numerical"]
+    for report in (clean, faulted):
+        assert all(value <= TOLERANCES["numerical"] for value in report["residuals"].values())
+    assert faulted.pop("pass") is False and clean.pop("pass") is True
+    assert faulted["results"] == clean["results"]
+
+
+def test_homomorphism_probe_reads_near_the_dense_norm_under_the_completion_fault(symbol_file, tmp_path, monkeypatch):
+    _, faulted = _clean_and_faulted("stinespring-check-completion", symbol_file, tmp_path, monkeypatch)
+    # the run's one map and pair, rebuilt under the fault, which dilation_build's own checks let pass
+    d = stinespring.dilation_build(stinespring.random_cp_contraction(32, 32, 8, 42 ^ 1))
+    rng = np.random.default_rng(42)
+    a, b = random_matrix(rng, 32), random_matrix(rng, 32)
+    dense = np.linalg.norm(dense_rep(d, a @ b) - dense_rep(d, a) @ dense_rep(d, b))  # 7.8e-10
+    assert dense > TOLERANCES["numerical"]
+    assert dense / 3 <= faulted["residuals"]["homomorphism"] <= 3 * dense
 
 
 def test_transposed_summand_fails_through_swap_conjugation_alone(symbol_file, tmp_path, monkeypatch):

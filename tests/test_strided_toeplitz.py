@@ -19,15 +19,14 @@ from oil import (
     Symbol,
     Window,
     WindowedOperator,
-    hankel_operator,
+    hardy,
     make_symbol,
     multiplication_operator,
-    projection_commutator,
     splitting_defect,
     symbol_conjugate,
     symbol_product,
-    toeplitz_compress,
 )
+from oil.cli import SPECTRUM_OPS
 from oil.hardy import TOLERANCES
 from reference import multiplication, peak_bytes, quadrants, seeded_symbol, toeplitz_defects
 
@@ -65,12 +64,7 @@ def reference_builders(a, w: Window) -> dict:
     return out
 
 
-BUILDERS = {
-    "mult": multiplication_operator,
-    "toeplitz": toeplitz_compress,
-    "hankel": hankel_operator,
-    "commutator": projection_commutator,
-}
+BUILDERS = {op: getattr(hardy, name) for op, name in SPECTRUM_OPS.items()}  # the builders of spectrum --op
 CASES = [(lo, hi, name) for lo, hi in WINDOWS for name in symbols(hi - lo + 1)]
 
 

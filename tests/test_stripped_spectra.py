@@ -30,21 +30,14 @@ from oil import (
     make_symbol,
     multiplication_operator,
     numerical_rank,
-    projection_commutator,
     singular_values,
     splitting_defect,
-    toeplitz_compress,
 )
-from oil.cli import main
+from oil.cli import SPECTRUM_OPS, main
 from oil.hardy import RANK_CUTOFF, TOLERANCES, _opnorm, _schur_bound
-from reference import seeded_symbol, toeplitz_defects, widom
+from reference import seeded_symbol, toeplitz_defects, widom, zero_signs_flipped
 
-OPS = {
-    "toeplitz": toeplitz_compress,
-    "hankel": hankel_operator,
-    "commutator": projection_commutator,
-    "mult": multiplication_operator,
-}
+OPS = {op: getattr(hardy, name) for op, name in SPECTRUM_OPS.items()}  # the builders of spectrum --op
 # (lo, hi): symmetric up to d = 385, lopsided, and the edge window lo = -1
 WINDOWS = [(-192, 192), (-64, 64), (-20, 100), (-100, 20), (-1, 40)]
 BANDWIDTHS = [1, 5, 32]
@@ -127,9 +120,7 @@ class TestStrippedSpectrum:
             x.real[rng.random((m, n)) < 0.6] = 0.0
             x.imag[rng.random((m, n)) < 0.6] = 0.0
             x[rng.random(m) < 0.2] = 0.0  # some zero rows
-            flipped = x.copy()
-            flipped.real[x.real == 0] = -0.0
-            flipped.imag[x.imag == 0] = -0.0
+            flipped = zero_signs_flipped(x)
             bits = [singular_values(y).values.view(np.uint64) for y in (x, flipped)]
             if not np.array_equal(*bits) or numerical_rank(flipped) != numerical_rank(x):
                 moved.append(i)
